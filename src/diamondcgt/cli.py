@@ -4,7 +4,8 @@ Subcommands take braces notation (or a graph file) and print plain text
 by default; ``--json`` switches every command to one JSON object with
 the fixed keys command, input, result, witnesses, and counts.  Exit
 status is 0 on success, 1 when a checked property fails or a
-counterexample is found, and 2 for usage or parse errors.
+counterexample is found, and 2 for usage errors, unreadable files and
+every package error (``DiamondCgtError``), with the message on stderr.
 """
 
 from __future__ import annotations
@@ -21,12 +22,7 @@ from .diamond import (
     property_system,
 )
 from .engine import Engine
-from .errors import (
-    BoundsTooLargeError,
-    GameParseError,
-    GraphParseError,
-    InvalidStateError,
-)
+from .errors import DiamondCgtError
 from .graphio import load_graph, print_graph
 from .notation import format_canonical, format_position, format_value, parse_position
 from .values import NumberSystem
@@ -322,13 +318,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "yashima":
             return _run_yashima(args, engine)
         return _run_expr_command(args, engine)
-    except (GameParseError, GraphParseError, InvalidStateError) as ex:
-        print("error: %s" % ex, file=sys.stderr)
-        return 2
-    except BoundsTooLargeError as ex:
-        print("error: %s" % ex, file=sys.stderr)
-        return 2
-    except OSError as ex:
+    except (DiamondCgtError, OSError) as ex:
         print("error: %s" % ex, file=sys.stderr)
         return 2
 

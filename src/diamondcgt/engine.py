@@ -241,11 +241,14 @@ def _integers_by_simplicity(lo: int, hi: int):
     """Integers of [lo, hi] ordered by magnitude, positive before negative."""
     if lo > hi:
         return
-    top = max(abs(lo), abs(hi))
-    if lo <= 0 <= hi:
+    if lo > 0:
+        yield from range(lo, hi + 1)
+    elif hi < 0:
+        yield from range(hi, lo - 1, -1)
+    else:
         yield 0
-    for m in range(1, top + 1):
-        if lo <= m <= hi:
-            yield m
-        if lo <= -m <= hi:
-            yield -m
+        for m in range(1, max(-lo, hi) + 1):
+            if m <= hi:
+                yield m
+            if -m >= lo:
+                yield -m

@@ -7,6 +7,18 @@ game deletes the traversed edge copy, the vertex-removal game deletes every
 edge at the vertex the token just left (the vertex itself stays as an inert
 label).  Under normal play the player without a move loses.
 
+The public types (``MultiGraph``, ``YashimaState``, ``Move``) validate
+their arguments and are the boundary for outside input, together with
+``graphio``.  Inside, the solver and the sweep work on a compact state:
+the plain tuple ``(edges, left_token, right_token)``, where ``edges`` is
+the sorted tuple of ``(min, max)`` endpoint pairs.  It holds no vertex
+count, so boards differing only in trailing isolated vertices share one
+state.  One private successor function per variant turns a compact state
+into its followers without building or re-validating any public object,
+and the solver memoizes game ids per variant on the compact state.
+``YashimaSolver.solve_stats`` reads the game id, the tree size and the
+reachable count off one post-order walk.
+
 The module also houses the exhaustive small-board verifier: on bipartite
 boards every position's value is an integer or a two-integer pair, tokens
 on different color classes force an integer, and in the different-color
@@ -16,6 +28,7 @@ case any Left move and any Right move commute to the same state.
 from __future__ import annotations
 
 import itertools
+from itertools import chain, filterfalse
 from dataclasses import dataclass
 from enum import Enum
 
@@ -67,29 +80,10 @@ class MultiGraph:
             canon.append((u, v))
         object.__setattr__(self, "edges", tuple(sorted(canon)))
 
-    def incident_pairs(self, v: int) -> tuple[tuple[int, int], ...]:
-        """Distinct edge pairs touching v, each listed once."""
-        seen = []
-        for edge in self.edges:
-            if v in edge and (not seen or seen[-1] != edge):
-                seen.append(edge)
-        return tuple(seen)
-
     def multiplicity(self, u: int, v: int) -> int:
         if u > v:
             u, v = v, u
         return self.edges.count((u, v))
-
-    def without_edge_copy(self, edge: tuple[int, int]) -> "MultiGraph":
-        """Remove one copy of the given edge."""
-        idx = self.edges.index(edge)
-        return MultiGraph(self.vertex_count, self.edges[:idx] + self.edges[idx + 1 :])
-
-    def without_vertex_edges(self, v: int) -> "MultiGraph":
-        """Remove every edge at v, keeping the vertex as an inert label."""
-        return MultiGraph(
-            self.vertex_count, tuple(e for e in self.edges if v not in e)
-        )
 
 
 @dataclass(frozen=True)
@@ -125,20 +119,118 @@ class Move:
     destination: int
 
 
+# --- the compact state ----------------------------------------------------
+#
+# Edges are sorted, so the copies of one pair are adjacent and a move list
+# skips every copy after the first: parallel copies lead to the same state.
+
+
+def _moves(edges, token, other):
+    """(edge, destination) of each distinct slide of token, in edge order."""
+    out = []
+    prev = None
+    for edge in edges:
+        if edge != prev:
+            prev = edge
+            u, v = edge
+            if u == token:
+                if v != other:
+                    out.append((edge, v))
+            elif v == token and u != other:
+                out.append((edge, u))
+    return out
+
+
+def _yashima_successors(state):
+    """Left and right successor states: the slide deletes one edge copy.
+
+    One scan serves both tokens.  An edge holds both tokens only when it
+    joins them, and then neither token may slide along it.
+    """
+    edges, lt, rt = state
+    lefts = []
+    rights = []
+    prev = None
+    for i, edge in enumerate(edges):
+        if edge != prev:
+            prev = edge
+            u, v = edge
+            if u == lt:
+                if v != rt:
+                    lefts.append((edges[:i] + edges[i + 1 :], v, rt))
+            elif v == lt:
+                if u != rt:
+                    lefts.append((edges[:i] + edges[i + 1 :], u, rt))
+            elif u == rt:
+                rights.append((edges[:i] + edges[i + 1 :], lt, v))
+            elif v == rt:
+                rights.append((edges[:i] + edges[i + 1 :], lt, u))
+    return lefts, rights
+
+
+def _tron_successors(state):
+    """Left and right successor states: the departed vertex loses every
+    edge, which leaves one remainder per mover."""
+    edges, lt, rt = state
+    left_dests = []
+    right_dests = []
+    prev = None
+    for edge in edges:
+        if edge != prev:
+            prev = edge
+            u, v = edge
+            if u == lt:
+                if v != rt:
+                    left_dests.append(v)
+            elif v == lt:
+                if u != rt:
+                    left_dests.append(u)
+            elif u == rt:
+                right_dests.append(v)
+            elif v == rt:
+                right_dests.append(u)
+    lefts = rights = ()
+    if left_dests:
+        rest = tuple([e for e in edges if lt not in e])
+        lefts = [(rest, d, rt) for d in left_dests]
+    if right_dests:
+        rest = tuple([e for e in edges if rt not in e])
+        rights = [(rest, lt, d) for d in right_dests]
+    return lefts, rights
+
+
+def _yashima_cut(edges, token, edge):
+    i = edges.index(edge)
+    return edges[:i] + edges[i + 1 :]
+
+
+def _tron_cut(edges, token, edge):
+    return tuple([e for e in edges if token not in e])
+
+
+_SUCCESSORS = {Variant.YASHIMA: _yashima_successors, Variant.TRON: _tron_successors}
+# the edges left after one given slide
+_CUTS = {Variant.YASHIMA: _yashima_cut, Variant.TRON: _tron_cut}
+
+
+def _compact(state: YashimaState) -> tuple:
+    return state.graph.edges, state.left_token, state.right_token
+
+
+def _tokens(state: YashimaState, player: Player) -> tuple[int, int]:
+    """The mover's token, then the other token."""
+    if player is Player.LEFT:
+        return state.left_token, state.right_token
+    return state.right_token, state.left_token
+
+
 def move_descriptors(state: YashimaState, player: Player) -> tuple[Move, ...]:
-    token = state.left_token if player is Player.LEFT else state.right_token
-    other = state.right_token if player is Player.LEFT else state.left_token
-    moves = []
-    for edge in state.graph.incident_pairs(token):
-        dest = edge[1] if edge[0] == token else edge[0]
-        if dest != other:
-            moves.append(Move(edge, dest))
-    return tuple(moves)
+    token, other = _tokens(state, player)
+    return tuple(Move(e, d) for e, d in _moves(state.graph.edges, token, other))
 
 
 def is_legal(state: YashimaState, player: Player, move: Move) -> bool:
-    token = state.left_token if player is Player.LEFT else state.right_token
-    other = state.right_token if player is Player.LEFT else state.left_token
+    token, other = _tokens(state, player)
     if token not in move.edge or move.destination == other:
         return False
     if move.destination not in move.edge or move.destination == token:
@@ -149,11 +241,12 @@ def is_legal(state: YashimaState, player: Player, move: Move) -> bool:
 def apply_move(state: YashimaState, player: Player, move: Move) -> YashimaState:
     if not is_legal(state, player, move):
         raise InvalidStateError("move %r is not legal for %s" % (move, player.value))
-    token = state.left_token if player is Player.LEFT else state.right_token
-    if state.variant is Variant.YASHIMA:
-        graph = state.graph.without_edge_copy(move.edge)
-    else:
-        graph = state.graph.without_vertex_edges(token)
+    token, _ = _tokens(state, player)
+    u, v = move.edge
+    edge = (u, v) if u < v else (v, u)
+    graph = MultiGraph(
+        state.graph.vertex_count, _CUTS[state.variant](state.graph.edges, token, edge)
+    )
     if player is Player.LEFT:
         return YashimaState(graph, move.destination, state.right_token, state.variant)
     return YashimaState(graph, state.left_token, move.destination, state.variant)
@@ -161,20 +254,24 @@ def apply_move(state: YashimaState, player: Player, move: Move) -> YashimaState:
 
 def legal_moves(state: YashimaState, player: Player) -> tuple[YashimaState, ...]:
     """Successor states for the player, deduplicated, in key order."""
-    succs = {apply_move(state, player, m) for m in move_descriptors(state, player)}
+    lefts, rights = _SUCCESSORS[state.variant](_compact(state))
+    vertex_count = state.graph.vertex_count
+    succs = [
+        YashimaState(MultiGraph(vertex_count, edges), lt, rt, state.variant)
+        for edges, lt, rt in (lefts if player is Player.LEFT else rights)
+    ]
     return tuple(sorted(succs, key=YashimaState.key))
 
 
-def _bipartition(graph: MultiGraph) -> tuple[list, list] | None:
+def _bipartition(vertex_count: int, edges) -> tuple[list, list] | None:
     """Per-vertex (component, color) labels, or None when not bipartite."""
-    n = graph.vertex_count
-    adjacency = [[] for _ in range(n)]
-    for u, v in graph.edges:
+    adjacency = [[] for _ in range(vertex_count)]
+    for u, v in edges:
         adjacency[u].append(v)
         adjacency[v].append(u)
-    component = [-1] * n
-    color = [0] * n
-    for start in range(n):
+    component = [-1] * vertex_count
+    color = [0] * vertex_count
+    for start in range(vertex_count):
         if component[start] >= 0:
             continue
         component[start] = start
@@ -191,15 +288,18 @@ def _bipartition(graph: MultiGraph) -> tuple[list, list] | None:
     return component, color
 
 
+def _different_color(labels, lt: int, rt: int) -> bool:
+    component, color = labels
+    return component[lt] != component[rt] or color[lt] != color[rt]
+
+
 def color_class(state: YashimaState) -> ColorClass:
     """Token coloring: different components or opposite classes both count
     as different-color; any odd cycle anywhere makes the board unusable."""
-    labels = _bipartition(state.graph)
+    labels = _bipartition(state.graph.vertex_count, state.graph.edges)
     if labels is None:
         return ColorClass.NOT_BIPARTITE
-    component, color = labels
-    lt, rt = state.left_token, state.right_token
-    if component[lt] != component[rt] or color[lt] != color[rt]:
+    if _different_color(labels, state.left_token, state.right_token):
         return ColorClass.DIFFERENT_COLOR
     return ColorClass.SAME_COLOR
 
@@ -214,65 +314,109 @@ class SolveStats:
 
 
 class YashimaSolver:
-    """Translates states into interned positions, sharing transpositions."""
+    """Translates states into interned positions, sharing transpositions.
+
+    Game ids are memoized per variant on the compact state, so every
+    state is interned once per solver whatever root reaches it.
+    """
 
     def __init__(self, engine: Engine):
         self.engine = engine
-        self._game_memo: dict = {}
-        self._tree_memo: dict = {}
+        self._memos = {variant: {} for variant in Variant}
 
     def to_game(self, state: YashimaState) -> int:
-        key = state.key()
-        got = self._game_memo.get(key)
-        if got is not None:
-            return got
-        left = {self.to_game(s) for s in legal_moves(state, Player.LEFT)}
-        right = {self.to_game(s) for s in legal_moves(state, Player.RIGHT)}
-        g = self.engine.intern(left, right)
-        self._game_memo[key] = g
-        return g
+        return self._walk(_compact(state), *self._tables(state.variant))
 
     def tree_size(self, state: YashimaState) -> int:
         """Nodes of the full game tree below the state (the state included).
 
         Each node branches into the deduplicated successor states of both
         players, so transpositions are counted once per occurrence in the
-        tree but expanded only once here.
+        tree but expanded only once here.  Read off the same walk as
+        ``solve_stats``, which also solves the state.
         """
-        key = state.key()
-        got = self._tree_memo.get(key)
-        if got is not None:
-            return got
-        total = 1
-        for s in legal_moves(state, Player.LEFT):
-            total += self.tree_size(s)
-        for s in legal_moves(state, Player.RIGHT):
-            total += self.tree_size(s)
-        self._tree_memo[key] = total
-        return total
+        return self.solve_stats(state).expanded_nodes
 
     def reachable_states(self, state: YashimaState) -> int:
-        """Distinct states reachable from the state, itself included."""
-        seen = set()
-        stack = [state]
-        seen.add(state.key())
-        while stack:
-            s = stack.pop()
-            for player in (Player.LEFT, Player.RIGHT):
-                for succ in legal_moves(s, player):
-                    k = succ.key()
-                    if k not in seen:
-                        seen.add(k)
-                        stack.append(succ)
-        return len(seen)
+        """Distinct states reachable from the state, itself included.
+
+        Read off the same walk as ``solve_stats``, which also solves the
+        state.
+        """
+        return self.solve_stats(state).memo_entries
 
     def solve_stats(self, state: YashimaState) -> SolveStats:
-        game = self.to_game(state)
+        """Value, tree size and reachable count from one post-order walk."""
+        root = _compact(state)
+        sizes: dict = {}
+        game = self._walk(root, *self._tables(state.variant), sizes)
         return SolveStats(
-            expanded_nodes=self.tree_size(state),
-            memo_entries=self.reachable_states(state),
+            expanded_nodes=sizes[root],
+            memo_entries=len(sizes),
             value=self.engine.classify_value(game),
         )
+
+    def _tables(self, variant: Variant) -> tuple:
+        """The variant's game memo and successor function."""
+        return self._memos[variant], _SUCCESSORS[variant]
+
+    def _walk(self, root: tuple, memo: dict, successors, sizes: dict | None = None) -> int:
+        """Game id of a compact state, by an iterative post-order walk.
+
+        Without ``sizes`` the walk stops at states the memo already holds.
+        With it, the walk visits every state reachable from the root once,
+        memo or not, and records each one's tree size in ``sizes``; its
+        length is then the reachable count.  Each visited state's
+        successors are generated exactly once either way.
+        """
+        intern = self.engine.intern
+        done = memo if sizes is None else sizes
+        stack = [root]
+        waiting: dict = {}  # state -> its successors, while they are walked
+        while stack:
+            state = stack.pop()
+            if state in done:
+                continue
+            children = waiting.pop(state, None) if waiting else None
+            if children is None:
+                children = successors(state)
+                missing = list(filterfalse(done.__contains__, chain(*children)))
+                if missing:
+                    waiting[state] = children
+                    stack.append(state)
+                    stack += missing
+                    continue
+            lefts, rights = children
+            if sizes is not None:
+                sizes[state] = 1 + sum(map(sizes.__getitem__, lefts)) + sum(
+                    map(sizes.__getitem__, rights)
+                )
+                if state in memo:
+                    continue
+            memo[state] = intern([memo[s] for s in lefts], [memo[s] for s in rights])
+        return memo[root]
+
+
+def _commuting_failure(edges, lt, rt, cut, lmoves, rmoves):
+    """First ((edge, dest), (edge, dest), reason) that fails to commute."""
+    for ml in lmoves:
+        el, dl = ml
+        after_l = cut(edges, lt, el)
+        for mr in rmoves:
+            er, dr = mr
+            after_r = cut(edges, rt, er)
+            if dr == dl or er not in after_l:
+                return ml, mr, "right move blocked after left"
+            if el not in after_r:
+                return ml, mr, "left move blocked after right"
+            if cut(after_l, rt, er) != cut(after_r, lt, el):
+                return ml, mr, "orders disagree"
+    return None
+
+
+def _as_moves(failure):
+    ml, mr, reason = failure
+    return Move(*ml), Move(*mr), reason
 
 
 def commuting_violation(state: YashimaState):
@@ -281,19 +425,11 @@ def commuting_violation(state: YashimaState):
     A pair fails when one move stops being legal after the other, or when
     the two application orders land in different states.
     """
-    lmoves = move_descriptors(state, Player.LEFT)
-    rmoves = move_descriptors(state, Player.RIGHT)
-    for ml in lmoves:
-        after_l = apply_move(state, Player.LEFT, ml)
-        for mr in rmoves:
-            after_r = apply_move(state, Player.RIGHT, mr)
-            if not is_legal(after_l, Player.RIGHT, mr):
-                return ml, mr, "right move blocked after left"
-            if not is_legal(after_r, Player.LEFT, ml):
-                return ml, mr, "left move blocked after right"
-            if apply_move(after_l, Player.RIGHT, mr) != apply_move(after_r, Player.LEFT, ml):
-                return ml, mr, "orders disagree"
-    return None
+    edges, lt, rt = _compact(state)
+    bad = _commuting_failure(
+        edges, lt, rt, _CUTS[state.variant], _moves(edges, lt, rt), _moves(edges, rt, lt)
+    )
+    return None if bad is None else _as_moves(bad)
 
 
 @dataclass(frozen=True)
@@ -357,73 +493,65 @@ def verify_bipartite_simplicity(
             "sweep of %d states exceeds the budget of %d" % (upper, state_budget)
         )
     solver = YashimaSolver(engine)
-    seen = set()
+    memo, successors = solver._tables(variant)
+    cut = _CUTS[variant]
     counterexamples = []
     graphs_checked = 0
     states_checked = 0
     different_color = 0
     commuting_pairs = 0
     zsys = NumberSystem.Z
+
+    def report():
+        return SimplicityReport(
+            not counterexamples,
+            tuple(counterexamples),
+            graphs_checked,
+            states_checked,
+            different_color,
+            commuting_pairs,
+        )
+
     for n in range(2, max_vertices + 1):
+        last = n - 1
         pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
         for m in range(0, max_edges + 1):
-            for combo in itertools.combinations_with_replacement(pairs, m):
-                graph = MultiGraph(n, combo)
-                if _bipartition(graph) is None:
+            # pairs are in order, so every combination is a sorted edge tuple
+            for edges in itertools.combinations_with_replacement(pairs, m):
+                labels = _bipartition(n, edges)
+                if labels is None:
                     continue
                 graphs_checked += 1
+                top = max(v for _, v in edges) if edges else 0
                 for lt in range(n):
                     for rt in range(n):
-                        if lt == rt:
+                        # a placement that leaves the last vertex bare has
+                        # the state of a board with fewer vertices, which
+                        # was swept already
+                        if lt == rt or max(top, lt, rt) != last:
                             continue
-                        state = YashimaState(graph, lt, rt, variant)
-                        key = state.key()
-                        if key in seen:
-                            continue
-                        seen.add(key)
                         states_checked += 1
-                        game = solver.to_game(state)
+                        game = solver._walk((edges, lt, rt), memo, successors)
                         value = engine.classify_value(game)
+                        found = []
                         if not value.in_pair_set(zsys):
-                            counterexamples.append(
-                                SimplicityCounterexample(
-                                    state, "value_not_simple", str(value)
-                                )
-                            )
-                        if color_class(state) is ColorClass.DIFFERENT_COLOR:
+                            found.append(("value_not_simple", str(value)))
+                        if _different_color(labels, lt, rt):
                             different_color += 1
                             if engine.as_number(game, zsys) is None:
-                                counterexamples.append(
-                                    SimplicityCounterexample(
-                                        state,
-                                        "different_color_not_integer",
-                                        str(value),
-                                    )
-                                )
-                            bad = commuting_violation(state)
-                            commuting_pairs += len(
-                                move_descriptors(state, Player.LEFT)
-                            ) * len(move_descriptors(state, Player.RIGHT))
+                                found.append(("different_color_not_integer", str(value)))
+                            lmoves = _moves(edges, lt, rt)
+                            rmoves = _moves(edges, rt, lt)
+                            commuting_pairs += len(lmoves) * len(rmoves)
+                            bad = _commuting_failure(edges, lt, rt, cut, lmoves, rmoves)
                             if bad is not None:
-                                counterexamples.append(
-                                    SimplicityCounterexample(
-                                        state, "non_commuting", "%r %r %s" % bad
-                                    )
-                                )
-                        if len(counterexamples) >= max_counterexamples:
-                            return SimplicityReport(
-                                False,
-                                tuple(counterexamples),
-                                graphs_checked,
-                                states_checked,
-                                different_color,
-                                commuting_pairs,
+                                found.append(("non_commuting", "%r %r %s" % _as_moves(bad)))
+                        if found:
+                            state = YashimaState(MultiGraph(n, edges), lt, rt, variant)
+                            counterexamples.extend(
+                                SimplicityCounterexample(state, kind, detail)
+                                for kind, detail in found
                             )
-    return SimplicityReport(
-        not counterexamples,
-        tuple(counterexamples),
-        graphs_checked,
-        states_checked,
-        different_color,
-        commuting_pairs,
-    )
+                        if len(counterexamples) >= max_counterexamples:
+                            return report()
+    return report()

@@ -7,7 +7,14 @@ from pathlib import Path
 
 import pytest
 
+from diamondcgt import cli
 from diamondcgt.cli import main
+from diamondcgt.errors import (
+    MalformedGameError,
+    NotClosedError,
+    PreconditionError,
+    SearchExhaustedError,
+)
 
 GRAPHS = Path(__file__).resolve().parent.parent / "graphs"
 _JSON_KEYS = ["command", "input", "result", "witnesses", "counts"]
@@ -147,6 +154,20 @@ def test_parse_errors_exit_2(capsys):
     assert code == 2 and err.startswith("error:")
     code, _, err = _run(capsys, "yashima", "verify", "--state-budget", "5")
     assert code == 2 and "budget" in err
+
+
+@pytest.mark.parametrize(
+    "error",
+    [SearchExhaustedError, MalformedGameError, PreconditionError, NotClosedError],
+)
+def test_every_package_error_exits_2(capsys, monkeypatch, error):
+    def fail(engine, expr):
+        raise error("raised on purpose")
+
+    monkeypatch.setattr(cli, "parse_position", fail)
+    code, out, err = _run(capsys, "value", "*")
+    assert code == 2 and out == ""
+    assert err == "error: raised on purpose\n"
 
 
 def test_usage_errors_exit_2(capsys):

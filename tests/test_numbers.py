@@ -173,3 +173,28 @@ def test_simplest_between_result_always_fits(engine, day2_values, system):
             assert engine.compare(lo, xpos).less_or_fuzzy
         for hi in his:
             assert engine.compare(xpos, hi).less_or_fuzzy
+
+
+def _integers_by_simplicity_reference(lo, hi):
+    """Reference order: scan every magnitude up to the larger endpoint's."""
+    if lo > hi:
+        return
+    top = max(abs(lo), abs(hi))
+    if lo <= 0 <= hi:
+        yield 0
+    for m in range(1, top + 1):
+        if lo <= m <= hi:
+            yield m
+        if lo <= -m <= hi:
+            yield -m
+
+
+@pytest.mark.parametrize(
+    "lo, hi", [(-3, 4), (16000, 16032), (-16032, -16000), (5, 4), (0, 0), (-7, -1), (-2, 9)]
+)
+def test_integers_by_simplicity_matches_the_full_scan(lo, hi):
+    from diamondcgt.engine import _integers_by_simplicity
+
+    assert list(_integers_by_simplicity(lo, hi)) == list(
+        _integers_by_simplicity_reference(lo, hi)
+    )

@@ -5,7 +5,10 @@ from __future__ import annotations
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from diamondcgt.engine import Engine
 from diamondcgt.errors import BoundsTooLargeError, InvalidStateError
 from diamondcgt.notation import format_value
 from diamondcgt.values import Dyadic, NumberSystem, ValueKind
@@ -191,6 +194,54 @@ def test_ladder_statistics(engine):
     assert stats.value.right == Dyadic(-3)
     assert stats.expanded_nodes == 104241
     assert stats.memo_entries == 1206
+
+
+@st.composite
+def _boards(draw):
+    n = draw(st.integers(2, 5))
+    pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(
+        lambda e: e[0] != e[1]
+    )
+    edges = draw(st.lists(pair, max_size=5))
+    left, right = draw(
+        st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True)
+    )
+    variant = draw(st.sampled_from(Variant))
+    return YashimaState(MultiGraph(n, tuple(edges)), left, right, variant)
+
+
+@settings(max_examples=300, deadline=None)
+@given(state=_boards())
+def test_random_boards_match_oracle(engine, to_oracle, state):
+    solver = YashimaSolver(engine)
+    edges, variant = state.graph.edges, state.variant.value
+    game = o.slide_game(edges, state.left_token, state.right_token, variant)
+    assert to_oracle(solver.to_game(state)) == game
+    assert solver.reachable_states(state) == o.slide_state_count(
+        edges, state.left_token, state.right_token, variant
+    )
+
+
+def test_solve_stats_ignore_an_already_filled_memo(engine):
+    ladder = _ladder()
+    fresh = YashimaSolver(Engine()).solve_stats(ladder)
+    solver = YashimaSolver(engine)
+    for player in Player:
+        for succ in legal_moves(ladder, player):
+            solver.solve_stats(succ)
+    again = solver.solve_stats(ladder)
+    assert (again.expanded_nodes, again.memo_entries) == (
+        fresh.expanded_nodes,
+        fresh.memo_entries,
+    )
+    assert solver.tree_size(ladder) == fresh.expanded_nodes
+    assert solver.reachable_states(ladder) == fresh.memo_entries
+
+
+def test_tron_ladder_statistics(engine):
+    stats = YashimaSolver(engine).solve_stats(_ladder(Variant.TRON))
+    assert stats.expanded_nodes == 3899
+    assert stats.memo_entries == 322
 
 
 def test_ladder_against_oracle():
