@@ -1,4 +1,3 @@
-# cython: language_level=3
 """Interned-game kernel: the hot recursions behind every engine operation.
 
 Positions live in a GameStore as append-only nodes addressed by integer id.
@@ -21,15 +20,6 @@ Dyadic rationals are plain ``(numerator, exponent)`` int pairs meaning
 ``numerator / 2**exponent``, normalized so the exponent is zero or the
 numerator is odd.  Using bare tuples keeps this module self-contained and
 cheap; the typed wrapper lives one layer up.
-
-This file must stay importable both as plain Python and as the
-Cython-compiled twin built by setup.py, so it uses nothing beyond the
-package's error types.
-
-Thread-safety contract: readers only traverse node tuples and insert memo
-entries whose value is a pure function of the key, so concurrent reads are
-safe and racing duplicate inserts are idempotent under CPython's atomic
-dict operations.  Writers that intern new nodes must serialize themselves.
 """
 
 from .errors import MalformedGameError
@@ -418,18 +408,28 @@ class GameStore:
         if got is not None:
             return got
         if exp == 0:
-            if num == 0:
-                pos = self.zero
-            elif num > 0:
-                pos = self.intern((self.number_position(num - 1, 0),), ())
-            else:
-                pos = self.intern((), (self.number_position(num + 1, 0),))
-        else:
-            pos = self.intern(
-                (self.number_position(num - 1, exp),),
-                (self.number_position(num + 1, exp),),
-            )
-        memo[key] = pos
+            # the integer n is a chain n levels deep, so build it in a loop
+            # up from the nearest integer already built between 0 and n
+            step = 1 if num > 0 else -1
+            k = num
+            while k != 0 and (k, 0) not in memo:
+                k -= step
+            pos = memo.get((k, 0), self.zero)
+            self._remember_number(pos, k, 0)
+            while k != num:
+                k += step
+                pos = self.intern((pos,), ()) if step > 0 else self.intern((), (pos,))
+                self._remember_number(pos, k, 0)
+                self._birthday[pos] = abs(k)
+            return pos
+        pos = self.intern(
+            (self.number_position(num - 1, exp),),
+            (self.number_position(num + 1, exp),),
+        )
+        self._remember_number(pos, num, exp)
+        return pos
+
+    def _remember_number(self, pos, num, exp):
+        self._numpos[(num, exp)] = pos
         self._canonical[pos] = pos
         self._number[pos] = (num, exp)
-        return pos

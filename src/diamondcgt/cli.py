@@ -321,6 +321,9 @@ def main(argv: list[str] | None = None) -> int:
     except (DiamondCgtError, OSError) as ex:
         print("error: %s" % ex, file=sys.stderr)
         return 2
+    except RecursionError:
+        print("error: input nests too deeply", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -13,7 +13,7 @@ from typing import Iterable
 
 from . import _kernel
 from .errors import SearchExhaustedError
-from .kernel import load_kernel
+from .kernel import KERNEL_BACKEND
 from .values import Dyadic, NumberSystem, Outcome, Relation, ValueClass
 
 _REL = {
@@ -37,10 +37,10 @@ MAX_DENOMINATOR_EXPONENT = 32
 class Engine:
     """One universe of interned positions plus all derived operations."""
 
-    def __init__(self, pure_kernel: bool | None = None):
-        module = load_kernel(pure_kernel)
-        self.store = module.GameStore()
-        self.kernel_name = "pure" if module is _kernel else "compiled"
+    kernel_name = KERNEL_BACKEND
+
+    def __init__(self):
+        self.store = _kernel.GameStore()
 
     # -- structure ---------------------------------------------------------
 

@@ -1,41 +1,12 @@
-"""Kernel backend selection.
+"""Which kernel runs.
 
-The package ships the kernel twice: ``_kernel`` is plain Python and always
-present; ``_ckernel`` is the same source compiled by Cython when the build
-environment allowed it.  Importing this module picks the compiled twin when
-it exists and silently falls back otherwise.  Set DIAMONDCGT_PURE_KERNEL=1
-to force the interpreted kernel, e.g. for debugging or benchmarking.
+The package has one kernel, the plain-Python ``_kernel`` module, and
+nothing selects between backends.  ``backend`` is that module and
+``KERNEL_BACKEND`` names it ``"pure"``, the same name ``Engine.kernel_name``
+reports.
 """
-
-from __future__ import annotations
-
-import os
 
 from . import _kernel
 
-
-def load_kernel(pure: bool | None = None):
-    """Return the kernel module for the requested backend.
-
-    ``pure=None`` follows the environment and availability, ``pure=True``
-    always returns the interpreted kernel, ``pure=False`` insists on the
-    compiled twin and raises ImportError when it is missing.
-    """
-    if pure is None:
-        if os.environ.get("DIAMONDCGT_PURE_KERNEL"):
-            return _kernel
-        try:
-            from . import _ckernel
-        except ImportError:
-            return _kernel
-        return _ckernel
-    if pure:
-        return _kernel
-    from . import _ckernel
-
-    return _ckernel
-
-
-backend = load_kernel()
-GameStore = backend.GameStore
-KERNEL_BACKEND = "compiled" if backend is not _kernel else "pure"
+backend = _kernel
+KERNEL_BACKEND = "pure"

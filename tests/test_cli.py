@@ -40,6 +40,8 @@ def test_value(capsys):
     assert code == 0 and out == "{1|1}\n"
     code, out, _ = _run(capsys, "value", "{0|0}")
     assert out == "*\n"
+    assert _run(capsys, "value", "5000") == (0, "5000\n", "")
+    assert _run(capsys, "value", "-5000") == (0, "-5000\n", "")
 
 
 def test_canonical(capsys):
@@ -154,6 +156,21 @@ def test_parse_errors_exit_2(capsys):
     assert code == 2 and err.startswith("error:")
     code, _, err = _run(capsys, "yashima", "verify", "--state-budget", "5")
     assert code == 2 and "budget" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("compare", "5000", "4999"),
+        ("value", "{" * 1000 + "|" + "}" * 1000),
+    ],
+    ids=["deep-compare", "deep-braces"],
+)
+def test_too_deep_inputs_exit_2(capsys, argv):
+    code, out, err = _run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err == "error: input nests too deeply\n"
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize(

@@ -6,6 +6,8 @@ import random
 
 import pytest
 
+from diamondcgt import _kernel, kernel
+from diamondcgt.engine import Engine
 from diamondcgt.errors import MalformedGameError
 from diamondcgt.values import Outcome, Relation
 
@@ -110,3 +112,11 @@ def test_specific_comparisons(engine):
     assert engine.compare(star, star) is Relation.EQUAL
     pair = engine.intern((engine.zero,), (engine.number_position(-3),))
     assert engine.compare(pair, engine.zero) is Relation.FUZZY
+
+
+def test_backend_report():
+    # the benchmark's provenance record reads exactly these names
+    assert kernel.backend is _kernel
+    assert kernel.backend.__file__.endswith(".py")
+    assert kernel.KERNEL_BACKEND == "pure"
+    assert Engine().kernel_name == "pure"

@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+from diamondcgt.engine import Engine
 from diamondcgt.values import Dyadic, NumberSystem, Relation, ValueKind
 
 import oracle as o
@@ -41,6 +42,15 @@ def test_number_positions_are_the_canonical_trees(engine):
     assert engine.right_options(minus_three_quarters) == (
         engine.number_position(Dyadic(-1, 1)),
     )
+
+
+def test_deep_integer_positions_are_built_without_recursing():
+    engine = Engine()  # keep the shared session universe small
+    deep = engine.number_position(5000)
+    assert engine.as_number(deep, D) == Dyadic(5000)
+    assert engine.birthday(deep) == 5000
+    assert engine.left_options(deep) == (engine.number_position(4999),)
+    assert engine.as_number(engine.number_position(-5000), Z) == Dyadic(-5000)
 
 
 def test_as_number_and_membership(engine):
