@@ -9,7 +9,9 @@ earlier nodes, which makes the option graph acyclic by construction.
 Everything expensive is memoized against the owning store:
 
 * ``leq`` drives the partial order and with it outcomes, domination and
-  reversibility checks,
+  reversibility checks; its memo is one row per node, row g a dict
+  mapping h to whether g <= h, appended when ``intern`` creates g, and
+  ``leq``/``compare`` probe an option's row before recursing into it,
 * ``canonical`` rewrites a node into the unique simplest equal-valued form
   by removing dominated options and bypassing reversible ones bottom-up,
 * ``number_value`` decodes canonical shapes into exact dyadic rationals,
@@ -33,6 +35,10 @@ OUT_LEFT = 0
 OUT_RIGHT = 1
 OUT_PREVIOUS = 2
 OUT_NEXT = 3
+
+# g against zero: greater means Left wins, less Right, equal the previous
+# player, fuzzy the next one
+_OUTCOME_OF_REL = (OUT_RIGHT, OUT_LEFT, OUT_PREVIOUS, OUT_NEXT)
 
 
 def dy_normalize(num, exp):
@@ -107,7 +113,7 @@ class GameStore:
     def __init__(self):
         self._nodes = []
         self._index = {}
-        self._leq = {}
+        self._leq = []
         self._canonical = {}
         self._birthday = {}
         self._number = {}
@@ -118,6 +124,19 @@ class GameStore:
 
     def __len__(self):
         return len(self._nodes)
+
+    def stats(self):
+        """Node count and the entry count of each memo table."""
+        return {
+            "nodes": len(self._nodes),
+            "leq": sum(len(row) for row in self._leq),
+            "canonical": len(self._canonical),
+            "birthday": len(self._birthday),
+            "number": len(self._number),
+            "left_stops": len(self._left_stops),
+            "right_stops": len(self._right_stops),
+            "number_positions": len(self._numpos),
+        }
 
     def intern(self, left, right):
         """Return the id for the position with these option sets."""
@@ -134,6 +153,7 @@ class GameStore:
                     )
         self._nodes.append(key)
         self._index[key] = new_id
+        self._leq.append({})
         return new_id
 
     def node(self, g):
@@ -150,43 +170,49 @@ class GameStore:
 
         Fails exactly when Left already has a move in g at least as good as
         all of h (some gL >= h) or Right has a move in h at most g (some
-        hR <= g).
+        hR <= g).  Each option's answer is read from its row first, so the
+        recursion only runs for pairs never computed.
         """
-        key = (g, h)
-        memo = self._leq
-        cached = memo.get(key)
+        rows = self._leq
+        row = rows[g]
+        cached = row.get(h)
         if cached is not None:
             return cached
         nodes = self._nodes
         result = True
+        hrow = rows[h]
         for gl in nodes[g][0]:
-            if self.leq(h, gl):
+            got = hrow.get(gl)
+            if got is None:
+                got = self.leq(h, gl)
+            if got:
                 result = False
                 break
         if result:
             for hr in nodes[h][1]:
-                if self.leq(hr, g):
+                got = rows[hr].get(g)
+                if got is None:
+                    got = self.leq(hr, g)
+                if got:
                     result = False
                     break
-        memo[key] = result
+        row[h] = result
         return result
 
     def compare(self, g, h):
-        a = self.leq(g, h)
-        b = self.leq(h, g)
+        rows = self._leq
+        a = rows[g].get(h)
+        if a is None:
+            a = self.leq(g, h)
+        b = rows[h].get(g)
+        if b is None:
+            b = self.leq(h, g)
         if a:
             return REL_EQUAL if b else REL_LESS
         return REL_GREATER if b else REL_FUZZY
 
     def outcome(self, g):
-        rel = self.compare(g, self.zero)
-        if rel == REL_GREATER:
-            return OUT_LEFT
-        if rel == REL_LESS:
-            return OUT_RIGHT
-        if rel == REL_EQUAL:
-            return OUT_PREVIOUS
-        return OUT_NEXT
+        return _OUTCOME_OF_REL[self.compare(g, self.zero)]
 
     def birthday(self, g):
         memo = self._birthday

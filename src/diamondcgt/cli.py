@@ -31,8 +31,23 @@ from .yashima import Variant, YashimaSolver, color_class, verify_bipartite_simpl
 _SYSTEMS = {"z": NumberSystem.Z, "d": NumberSystem.D}
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """An argument that starts with ``-`` and a digit is an expression.
+
+    Plain argparse only lets negative integers such as ``-5000`` through
+    as positionals and takes ``-3/4`` for an unknown option.  No option of
+    this CLI starts with a digit, so nothing else changes.  Subparsers are
+    built from this same class.
+    """
+
+    def _parse_optional(self, arg_string):
+        if arg_string[:1] == "-" and arg_string[1:2].isdigit():
+            return None
+        return super()._parse_optional(arg_string)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="diamondcgt",
         description="Canonical forms, stops, and diamond certificates "
         "for short partizan games, with token-sliding graph games.",

@@ -16,19 +16,9 @@ from .errors import SearchExhaustedError
 from .kernel import KERNEL_BACKEND
 from .values import Dyadic, NumberSystem, Outcome, Relation, ValueClass
 
-_REL = {
-    _kernel.REL_LESS: Relation.LESS,
-    _kernel.REL_GREATER: Relation.GREATER,
-    _kernel.REL_EQUAL: Relation.EQUAL,
-    _kernel.REL_FUZZY: Relation.FUZZY,
-}
-
-_OUT = {
-    _kernel.OUT_LEFT: Outcome.LEFT_WINS,
-    _kernel.OUT_RIGHT: Outcome.RIGHT_WINS,
-    _kernel.OUT_PREVIOUS: Outcome.PREVIOUS_WINS,
-    _kernel.OUT_NEXT: Outcome.NEXT_WINS,
-}
+# indexed by the kernel's REL_* and OUT_* codes
+_REL = (Relation.LESS, Relation.GREATER, Relation.EQUAL, Relation.FUZZY)
+_OUT = (Outcome.LEFT_WINS, Outcome.RIGHT_WINS, Outcome.PREVIOUS_WINS, Outcome.NEXT_WINS)
 
 # hard safety rail for the dyadic phase of simplest_between
 MAX_DENOMINATOR_EXPONENT = 32
@@ -62,6 +52,10 @@ class Engine:
 
     def birthday(self, g: int) -> int:
         return self.store.birthday(g)
+
+    def stats(self) -> dict[str, int]:
+        """Node count and the entry count of each memo table."""
+        return self.store.stats()
 
     # -- order -------------------------------------------------------------
 

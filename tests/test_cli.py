@@ -44,6 +44,17 @@ def test_value(capsys):
     assert _run(capsys, "value", "-5000") == (0, "-5000\n", "")
 
 
+def test_negative_fractions_are_expressions(capsys):
+    assert _run(capsys, "value", "-3/4") == (0, "-3/4\n", "")
+    assert _run(capsys, "value", "--", "-3/4") == (0, "-3/4\n", "")
+    assert _run(capsys, "compare", "-1/2", "0") == (0, "<\n", "")
+    assert _run(capsys, "compare", "0", "-1/2") == (0, ">\n", "")
+    assert _run(capsys, "stops", "-1/2") == (0, "LS -1/2\nRS -1/2\n", "")
+    assert _run(capsys, "stops", "-1/2", "--system", "z") == (0, "LS -1\nRS 0\n", "")
+    code, payload, _ = _run_json(capsys, "value", "-3/4")
+    assert code == 0 and payload["input"] == "-3/4" and payload["result"] == "-3/4"
+
+
 def test_canonical(capsys):
     code, out, _ = _run(capsys, "canonical", "*")
     assert code == 0 and out == "{0|0}\n"
