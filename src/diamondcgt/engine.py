@@ -39,7 +39,7 @@ class Engine:
         return self.store.zero
 
     def intern(self, left: Iterable[int], right: Iterable[int]) -> int:
-        return self.store.intern(tuple(left), tuple(right))
+        return self.store.intern(left, right)
 
     def left_options(self, g: int) -> tuple[int, ...]:
         return self.store.left_options(g)

@@ -22,7 +22,13 @@ reachable count off one post-order walk.
 The module also houses the exhaustive small-board verifier: on bipartite
 boards every position's value is an integer or a two-integer pair, tokens
 on different color classes force an integer, and in the different-color
-case any Left move and any Right move commute to the same state.
+case any Left move and any Right move commute to the same state.  The
+sweep needs no solver walk.  Every move deletes at least one edge copy,
+so a state's successors are placements with fewer edge copies on a
+subgraph, and the sweep order (vertex count, then edge count) has visited
+them already; each state is interned straight from its successors' ids.
+The value laws are decided once per distinct game id, and every state is
+then checked against its game's verdict.
 """
 
 from __future__ import annotations
@@ -33,7 +39,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .engine import Engine
-from .errors import BoundsTooLargeError, InvalidStateError
+from .errors import BoundsTooLargeError, InvalidStateError, PreconditionError
 from .values import NumberSystem, ValueClass
 
 
@@ -325,7 +331,7 @@ class YashimaSolver:
         self._memos = {variant: {} for variant in Variant}
 
     def to_game(self, state: YashimaState) -> int:
-        return self._walk(_compact(state), *self._tables(state.variant))
+        return self._walk(_compact(state), state.variant)
 
     def tree_size(self, state: YashimaState) -> int:
         """Nodes of the full game tree below the state (the state included).
@@ -349,18 +355,14 @@ class YashimaSolver:
         """Value, tree size and reachable count from one post-order walk."""
         root = _compact(state)
         sizes: dict = {}
-        game = self._walk(root, *self._tables(state.variant), sizes)
+        game = self._walk(root, state.variant, sizes)
         return SolveStats(
             expanded_nodes=sizes[root],
             memo_entries=len(sizes),
             value=self.engine.classify_value(game),
         )
 
-    def _tables(self, variant: Variant) -> tuple:
-        """The variant's game memo and successor function."""
-        return self._memos[variant], _SUCCESSORS[variant]
-
-    def _walk(self, root: tuple, memo: dict, successors, sizes: dict | None = None) -> int:
+    def _walk(self, root: tuple, variant: Variant, sizes: dict | None = None) -> int:
         """Game id of a compact state, by an iterative post-order walk.
 
         Without ``sizes`` the walk stops at states the memo already holds.
@@ -369,6 +371,8 @@ class YashimaSolver:
         length is then the reachable count.  Each visited state's
         successors are generated exactly once either way.
         """
+        memo = self._memos[variant]
+        successors = _SUCCESSORS[variant]
         intern = self.engine.intern
         done = memo if sizes is None else sizes
         stack = [root]
@@ -486,21 +490,44 @@ def verify_bipartite_simplicity(
     that different-color tokens force an integer, and that different-color
     move pairs commute.  Successor states show up in the sweep as their own
     roots, so the laws are effectively checked on every follower too.
+
+    The sweep visits boards by vertex count, then by edge count, and a
+    successor always has fewer edge copies, so each state is interned from
+    the ids its successors got earlier in the same sweep, with no walk.
+    The value laws are decided once per game id and every state is checked
+    against that verdict: states sharing a game each count, and each one
+    that fails is reported with its own state.  The sweep stops once it
+    holds max_counterexamples of them and reports exactly that many.
+    Negative bounds and a max_counterexamples below 1 raise
+    ``PreconditionError``.
     """
+    if max_vertices < 0 or max_edges < 0:
+        raise PreconditionError("max_vertices and max_edges must be nonnegative")
+    if max_counterexamples < 1:
+        raise PreconditionError("max_counterexamples must be at least 1")
     upper = _sweep_size(max_vertices, max_edges)
     if upper > state_budget:
         raise BoundsTooLargeError(
             "sweep of %d states exceeds the budget of %d" % (upper, state_budget)
         )
-    solver = YashimaSolver(engine)
-    memo, successors = solver._tables(variant)
+    successors = _SUCCESSORS[variant]
     cut = _CUTS[variant]
+    intern = engine.intern
+    zsys = NumberSystem.Z
+    # Every swept state's game id.  A successor has fewer edge copies than
+    # its state (a slide deletes at least the copy it traverses) on a
+    # subgraph, which is bipartite too.  Its state is therefore swept on
+    # max(endpoint, token) + 1 vertices, at most n, with fewer edges, and
+    # the loops below reach it before the state itself: every successor's
+    # id is here by the time a state is interned.
+    games: dict = {}
+    # game id -> (value, value in the integer pair set, value an integer)
+    verdicts: dict = {}
     counterexamples = []
     graphs_checked = 0
     states_checked = 0
     different_color = 0
     commuting_pairs = 0
-    zsys = NumberSystem.Z
 
     def report():
         return SimplicityReport(
@@ -531,14 +558,26 @@ def verify_bipartite_simplicity(
                         if lt == rt or max(top, lt, rt) != last:
                             continue
                         states_checked += 1
-                        game = solver._walk((edges, lt, rt), memo, successors)
-                        value = engine.classify_value(game)
+                        root = (edges, lt, rt)
+                        lefts, rights = successors(root)
+                        game = games[root] = intern(
+                            [games[s] for s in lefts], [games[s] for s in rights]
+                        )
+                        verdict = verdicts.get(game)
+                        if verdict is None:
+                            value = engine.classify_value(game)
+                            verdict = verdicts[game] = (
+                                value,
+                                value.in_pair_set(zsys),
+                                engine.as_number(game, zsys) is not None,
+                            )
+                        value, simple, integer = verdict
                         found = []
-                        if not value.in_pair_set(zsys):
+                        if not simple:
                             found.append(("value_not_simple", str(value)))
                         if _different_color(labels, lt, rt):
                             different_color += 1
-                            if engine.as_number(game, zsys) is None:
+                            if not integer:
                                 found.append(("different_color_not_integer", str(value)))
                             lmoves = _moves(edges, lt, rt)
                             rmoves = _moves(edges, rt, lt)
@@ -552,6 +591,7 @@ def verify_bipartite_simplicity(
                                 SimplicityCounterexample(state, kind, detail)
                                 for kind, detail in found
                             )
-                        if len(counterexamples) >= max_counterexamples:
-                            return report()
+                            if len(counterexamples) >= max_counterexamples:
+                                del counterexamples[max_counterexamples:]
+                                return report()
     return report()

@@ -14,6 +14,7 @@ import random
 import pytest
 
 from diamondcgt.engine import Engine
+from diamondcgt.values import Dyadic, ValueClass
 
 import oracle
 
@@ -127,3 +128,21 @@ def to_oracle(engine):
         return cached
 
     return convert
+
+
+@pytest.fixture
+def failing_laws(monkeypatch):
+    """Break the sweep's laws: 1 is not a simple value, no game an integer.
+
+    Returns the rejected value.  It is not its own negative, so a sweep
+    that mixed up Left and Right would flag the wrong states.
+    """
+    in_pair_set = ValueClass.in_pair_set
+    one = ValueClass.make_number(Dyadic(1))
+    monkeypatch.setattr(
+        ValueClass,
+        "in_pair_set",
+        lambda self, system: self != one and in_pair_set(self, system),
+    )
+    monkeypatch.setattr(Engine, "as_number", lambda self, g, system=None: None)
+    return one

@@ -158,6 +158,20 @@ def test_yashima_verify(capsys):
     assert code == 0 and out.splitlines()[0] == "ok"
 
 
+def test_yashima_verify_counterexamples_exit_1(capsys, failing_laws):
+    code, out, _ = _run(
+        capsys, "yashima", "verify", "--max-vertices", "3", "--max-edges", "3"
+    )
+    assert code == 1 and out.splitlines()[0] == "counterexamples 1"
+
+
+@pytest.mark.parametrize("bound", ["--max-vertices", "--max-edges"])
+def test_yashima_verify_negative_bounds_exit_2(capsys, bound):
+    code, out, err = _run(capsys, "--json", "yashima", "verify", bound, "-1")
+    assert code == 2 and out == ""
+    assert err == "error: max_vertices and max_edges must be nonnegative\n"
+
+
 def test_parse_errors_exit_2(capsys):
     code, out, err = _run(capsys, "value", "1/3")
     assert code == 2 and out == "" and err.startswith("error:")

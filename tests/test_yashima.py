@@ -3,13 +3,14 @@
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from diamondcgt.engine import Engine
-from diamondcgt.errors import BoundsTooLargeError, InvalidStateError
+from diamondcgt.errors import BoundsTooLargeError, InvalidStateError, PreconditionError
 from diamondcgt.notation import format_value
 from diamondcgt.values import Dyadic, NumberSystem, ValueKind
 from diamondcgt.yashima import (
@@ -271,6 +272,69 @@ def test_sweep_checks_pair_values(engine):
 def test_sweep_budget(engine):
     with pytest.raises(BoundsTooLargeError):
         verify_bipartite_simplicity(engine, state_budget=10)
+
+
+@pytest.mark.parametrize(
+    "bounds",
+    [{"max_vertices": -3}, {"max_edges": -1}, {"max_counterexamples": 0}],
+    ids=["vertices", "edges", "counterexamples"],
+)
+def test_sweep_rejects_negative_bounds(engine, bounds):
+    with pytest.raises(PreconditionError):
+        verify_bipartite_simplicity(engine, **bounds)
+
+
+def test_sweep_bounds_of_zero_and_one(engine):
+    checked = {
+        (v, e): verify_bipartite_simplicity(
+            engine, max_vertices=v, max_edges=e
+        ).states_checked
+        for v in (0, 1, 3)
+        for e in (0, 1)
+    }
+    assert checked == {
+        (0, 0): 0, (0, 1): 0, (1, 0): 0, (1, 1): 0, (3, 0): 6, (3, 1): 24,
+    }
+
+
+@pytest.mark.parametrize("variant", [Variant.YASHIMA, Variant.TRON])
+def test_sweep_interns_exactly_the_solvers_games(variant):
+    engine = Engine()
+    assert verify_bipartite_simplicity(engine, 4, 4, variant).ok
+    nodes = engine.node_count()
+    solver = YashimaSolver(engine)
+    games = [solver.to_game(s) for s in _small_bipartite_states(4, 4, variant)]
+    assert engine.node_count() == nodes
+    for game in games:
+        assert engine.classify_value(game).in_pair_set(NumberSystem.Z)
+
+
+def test_sweep_reports_every_failing_state(failing_laws):
+    engine = Engine()
+    report = verify_bipartite_simplicity(engine, 3, 3, max_counterexamples=10**6)
+    assert not report.ok
+    assert report.states_checked == 114
+    kinds = Counter(c.kind for c in report.counterexamples)
+    assert kinds["different_color_not_integer"] == report.different_color_states
+    solver = YashimaSolver(engine)
+    rejected = [
+        s
+        for s in _small_bipartite_states(3, 3, Variant.YASHIMA)
+        if engine.classify_value(solver.to_game(s)) == failing_laws
+    ]
+    not_simple = [
+        c.state for c in report.counterexamples if c.kind == "value_not_simple"
+    ]
+    assert not_simple == rejected
+    # states sharing one game id are each reported
+    assert max(Counter(map(solver.to_game, not_simple)).values()) > 1
+
+
+def test_sweep_stops_at_max_counterexamples(engine, failing_laws):
+    full = verify_bipartite_simplicity(engine, 3, 3, max_counterexamples=10**6)
+    for k in range(1, len(full.counterexamples) + 1):
+        report = verify_bipartite_simplicity(engine, 3, 3, max_counterexamples=k)
+        assert report.counterexamples == full.counterexamples[:k]
 
 
 def test_different_color_values_are_integers(engine):
