@@ -1,22 +1,29 @@
-"""Braces notation for games: parsing, elaboration, and printing.
+"""Braces notation for games: parsing and printing.
 
 The concrete syntax is the usual one: a game is a number (``3``,
 ``-3/4``), the star ``*``, or ``{`` comma-separated options ``|``
-comma-separated options ``}``.  Whitespace is insignificant and either
-option list may be empty.  Numbers must be dyadic; a denominator that is
-not a power of two is rejected at parse time.
+comma-separated options ``}``.  Whitespace is insignificant, also inside
+a numeral, and either option list may be empty.  Numbers must be dyadic;
+a denominator that is not a power of two is rejected at parse time.
 
-``parse_game`` produces a small expression tree, ``elaborate`` interns
-it into an engine (numbers expand to their canonical trees), and the
-formatters render positions back out.  ``format_value`` compacts
-number-valued nodes to numerals and ``{0|0}`` to ``*``; canonical
-strings round-trip through the parser to the identical position.
+There is one parser.  It reads the text in a single pass over a regex
+scan, keeps open braces on an explicit stack rather than recursing, and
+builds each game through a builder the moment the game is complete.
+``parse_position`` builds into an engine: numerals go straight to the
+store's canonical number trees and braces are interned.
+``parse_game`` builds a small expression tree instead, with the same
+grammar and the same errors.  The formatters render positions back out.
+``format_value`` compacts number-valued nodes to numerals and ``{0|0}``
+to ``*``; canonical strings round-trip through the parser to the
+identical position.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from enum import Enum
+from typing import Callable, TypeVar
 
 from .engine import Engine
 from .errors import GameParseError, NonDyadicDenominatorError
@@ -57,175 +64,128 @@ class GameExpr:
         return GameExpr(ExprKind.BRACES, left=left, right=right)
 
 
-class _TokenKind(Enum):
-    LBRACE = "{"
-    RBRACE = "}"
-    PIPE = "|"
-    COMMA = ","
-    STAR = "*"
-    MINUS = "-"
-    SLASH = "/"
-    INT = "integer"
-    END = "end of input"
+_BAD_CHARACTER = re.compile(r"[^\s\d{}|,*/-]")
+_TOKEN = re.compile(r"\d+|\S")
+_GAME_STARTS = ("integer", "-", "*", "{")
+
+_T = TypeVar("_T")
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: _TokenKind
-    text: str
-    line: int
-    column: int
+def _error(
+    text: str,
+    offset: int,
+    message: str,
+    expected: tuple[str, ...] | None = None,
+    error: type[GameParseError] = GameParseError,
+) -> GameParseError:
+    """The error at a character offset, with its 1-based line and column."""
+    line_start = text.rfind("\n", 0, offset) + 1
+    line = text.count("\n", 0, offset) + 1
+    return error(message, line=line, column=offset - line_start + 1, expected=expected)
 
 
-_PUNCT = {
-    "{": _TokenKind.LBRACE,
-    "}": _TokenKind.RBRACE,
-    "|": _TokenKind.PIPE,
-    ",": _TokenKind.COMMA,
-    "*": _TokenKind.STAR,
-    "-": _TokenKind.MINUS,
-    "/": _TokenKind.SLASH,
-}
+def _token_offset(text: str, index: int) -> int:
+    """Character offset of the index-th token; the end of input comes last."""
+    offsets = [m.start() for m in _TOKEN.finditer(text)]
+    offsets.append(len(text))
+    return offsets[index]
 
 
-def _tokenize(text: str) -> list[_Token]:
-    tokens: list[_Token] = []
-    line, column = 1, 1
+def _unexpected(
+    text: str, tokens: list[str], index: int, expected: tuple[str, ...]
+) -> GameParseError:
+    tok = tokens[index]
+    got = repr(tok) if tok else "end of input"
+    return _error(text, _token_offset(text, index), "unexpected %s" % got, expected)
+
+
+def _parse(
+    text: str,
+    number: Callable[[int, int], _T],
+    star: Callable[[], _T],
+    braces: Callable[[list[_T], list[_T]], _T],
+) -> _T:
+    """The one parser behind ``parse_game`` and ``parse_position``.
+
+    Games are built through the callbacks ``number(numerator, exponent)``,
+    ``star()`` and ``braces(left, right)`` (``left`` and ``right`` are
+    lists), each called the moment its game is complete, so options are
+    built left to right before the game that holds them.  Open braces sit
+    on an explicit stack, so nesting depth costs no recursion.
+    """
+    bad = _BAD_CHARACTER.search(text)
+    if bad is not None:
+        raise _error(text, bad.start(), "unexpected character %r" % bad.group())
+    tokens = _TOKEN.findall(text)
+    tokens.append("")  # end of input
+    stack: list[list] = []  # open braces, innermost last: [left, right, on_right]
+    closer = None  # the token that may end an empty option list here
     i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            column = 1
+    while True:
+        # a game starts at tokens[i]
+        tok = tokens[i]
+        if tok == "{":
+            stack.append([[], [], False])
+            closer = "|"
             i += 1
             continue
-        if ch.isspace():
-            column += 1
+        if tok == "*":
+            game = star()
             i += 1
-            continue
-        if ch in _PUNCT:
-            tokens.append(_Token(_PUNCT[ch], ch, line, column))
-            column += 1
-            i += 1
-            continue
-        if ch.isdigit():
-            start = i
-            while i < len(text) and text[i].isdigit():
+        elif tok == "-" or tok.isdecimal():
+            if tok == "-":
                 i += 1
-            digits = text[start:i]
-            tokens.append(_Token(_TokenKind.INT, digits, line, column))
-            column += len(digits)
-            continue
-        raise GameParseError(
-            "unexpected character %r" % ch, line=line, column=column
-        )
-    tokens.append(_Token(_TokenKind.END, "", line, column))
-    return tokens
-
-
-class _Parser:
-    """Recursive descent over the token stream."""
-
-    def __init__(self, tokens: list[_Token]) -> None:
-        self._tokens = tokens
-        self._pos = 0
-
-    def _peek(self) -> _Token:
-        return self._tokens[self._pos]
-
-    def _advance(self) -> _Token:
-        tok = self._tokens[self._pos]
-        self._pos += 1
-        return tok
-
-    def _expect(self, kind: _TokenKind) -> _Token:
-        tok = self._peek()
-        if tok.kind is not kind:
-            self._fail((kind,))
-        return self._advance()
-
-    def _fail(self, expected: tuple[_TokenKind, ...]) -> None:
-        tok = self._peek()
-        names = tuple(k.value for k in expected)
-        got = tok.kind.value if tok.kind is _TokenKind.END else repr(tok.text)
-        raise GameParseError(
-            "unexpected %s" % got,
-            line=tok.line,
-            column=tok.column,
-            expected=names,
-        )
-
-    def parse(self) -> GameExpr:
-        expr = self._game()
-        if self._peek().kind is not _TokenKind.END:
-            self._fail((_TokenKind.END,))
-        return expr
-
-    _GAME_STARTS = (
-        _TokenKind.INT,
-        _TokenKind.MINUS,
-        _TokenKind.STAR,
-        _TokenKind.LBRACE,
-    )
-
-    def _game(self) -> GameExpr:
-        tok = self._peek()
-        if tok.kind is _TokenKind.STAR:
-            self._advance()
-            return GameExpr.make_star()
-        if tok.kind is _TokenKind.LBRACE:
-            return self._braces()
-        if tok.kind in (_TokenKind.INT, _TokenKind.MINUS):
-            return self._number()
-        self._fail(self._GAME_STARTS)
-        raise AssertionError("unreachable")
-
-    def _number(self) -> GameExpr:
-        negative = False
-        if self._peek().kind is _TokenKind.MINUS:
-            self._advance()
-            negative = True
-        head = self._expect(_TokenKind.INT)
-        numerator = int(head.text)
-        exponent = 0
-        if self._peek().kind is _TokenKind.SLASH:
-            self._advance()
-            denom_tok = self._expect(_TokenKind.INT)
-            denominator = int(denom_tok.text)
-            if denominator <= 0 or denominator & (denominator - 1):
-                raise NonDyadicDenominatorError(
-                    "denominator %d is not a power of two" % denominator,
-                    line=denom_tok.line,
-                    column=denom_tok.column,
-                )
-            exponent = denominator.bit_length() - 1
-        if negative:
-            numerator = -numerator
-        return GameExpr.make_number(Dyadic(numerator, exponent))
-
-    def _braces(self) -> GameExpr:
-        self._expect(_TokenKind.LBRACE)
-        left = self._option_list((_TokenKind.PIPE,))
-        self._expect(_TokenKind.PIPE)
-        right = self._option_list((_TokenKind.RBRACE,))
-        self._expect(_TokenKind.RBRACE)
-        return GameExpr.make_braces(left, right)
-
-    def _option_list(
-        self, closers: tuple[_TokenKind, ...]
-    ) -> tuple[GameExpr, ...]:
-        tok = self._peek()
-        if tok.kind in closers:
-            return ()
-        if tok.kind not in self._GAME_STARTS:
-            self._fail(self._GAME_STARTS + closers)
-        options = [self._game()]
-        while self._peek().kind is _TokenKind.COMMA:
-            self._advance()
-            options.append(self._game())
-        if self._peek().kind not in closers:
-            self._fail((_TokenKind.COMMA,) + closers)
-        return tuple(options)
+                if not tokens[i].isdecimal():
+                    raise _unexpected(text, tokens, i, ("integer",))
+                numerator = -int(tokens[i])
+            else:
+                numerator = int(tok)
+            exponent = 0
+            if tokens[i + 1] == "/":
+                i += 2
+                if not tokens[i].isdecimal():
+                    raise _unexpected(text, tokens, i, ("integer",))
+                denominator = int(tokens[i])
+                if denominator == 0 or denominator & (denominator - 1):
+                    raise _error(
+                        text,
+                        _token_offset(text, i),
+                        "denominator %d is not a power of two" % denominator,
+                        error=NonDyadicDenominatorError,
+                    )
+                exponent = denominator.bit_length() - 1
+            game = number(numerator, exponent)
+            i += 1
+        elif tok == closer:
+            game = None  # the option list is empty
+        else:
+            expected = _GAME_STARTS + (closer,) if closer else _GAME_STARTS
+            raise _unexpected(text, tokens, i, expected)
+        # file the game with its frame; close every frame that ends here
+        while True:
+            tok = tokens[i]
+            if not stack:
+                if tok:
+                    raise _unexpected(text, tokens, i, ("end of input",))
+                return game
+            frame = stack[-1]
+            left, right, on_right = frame
+            if game is not None:
+                (right if on_right else left).append(game)
+            if tok == "}" and on_right:
+                stack.pop()
+                game = braces(left, right)
+                i += 1
+                continue
+            if tok == ",":
+                closer = None
+            elif tok == "|" and not on_right:
+                frame[2] = True
+                closer = "}"
+            else:
+                raise _unexpected(text, tokens, i, (",", "}" if on_right else "|"))
+            i += 1
+            break
 
 
 def parse_game(text: str) -> GameExpr:
@@ -235,23 +195,22 @@ def parse_game(text: str) -> GameExpr:
     NonDyadicDenominatorError for a denominator that is not a power of
     two.
     """
-    return _Parser(_tokenize(text)).parse()
-
-
-def elaborate(engine: Engine, expr: GameExpr) -> int:
-    """Intern an expression tree, expanding numbers to canonical trees."""
-    if expr.kind is ExprKind.NUMBER:
-        return engine.number_position(expr.number)
-    if expr.kind is ExprKind.STAR:
-        return engine.star()
-    left = tuple(elaborate(engine, child) for child in expr.left)
-    right = tuple(elaborate(engine, child) for child in expr.right)
-    return engine.intern(left, right)
+    return _parse(
+        text,
+        lambda num, exp: GameExpr.make_number(Dyadic(num, exp)),
+        GameExpr.make_star,
+        lambda left, right: GameExpr.make_braces(tuple(left), tuple(right)),
+    )
 
 
 def parse_position(engine: Engine, text: str) -> int:
-    """Parse and intern in one step."""
-    return elaborate(engine, parse_game(text))
+    """Parse braces notation and intern it into ``engine``.
+
+    Same grammar and errors as ``parse_game``, with no tree in between:
+    numerals go straight to the store's number trees.  Options completed
+    before a parse error stay interned.
+    """
+    return _parse(text, engine.store.number_position, engine.star, engine.intern)
 
 
 def _render(engine: Engine, g: int, braces_at_top: bool) -> str:

@@ -181,13 +181,26 @@ def test_parse_errors_exit_2(capsys):
     assert code == 2 and err.startswith("error:")
     code, _, err = _run(capsys, "yashima", "verify", "--state-budget", "5")
     assert code == 2 and "budget" in err
+    # one '|' for 1,000 open braces: the second innermost brace lacks its '|'
+    code, out, err = _run(capsys, "value", "{" * 1000 + "|" + "}" * 1000)
+    assert code == 2 and out == ""
+    assert err == "error: unexpected '}' (line 1, column 1003); expected (',', '|')\n"
+    # digits that str.isdigit accepts but int() does not
+    for argv, message in [
+        (("value", "\u00b2"), "unexpected character '\u00b2' (line 1, column 1)"),
+        (("value", "10\u00b2"), "unexpected character '\u00b2' (line 1, column 3)"),
+        (("compare", "{1|}", "\u2462"), "unexpected character '\u2462' (line 1, column 1)"),
+    ]:
+        code, out, err = _run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err == "error: %s\n" % message
 
 
 @pytest.mark.parametrize(
     "argv",
     [
         ("compare", "5000", "4999"),
-        ("value", "{" * 1000 + "|" + "}" * 1000),
+        ("value", "{" * 1000 + "|}" * 1000),
     ],
     ids=["deep-compare", "deep-braces"],
 )

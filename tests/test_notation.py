@@ -1,4 +1,4 @@
-"""Braces notation: parsing, elaboration, and round-tripping."""
+"""Braces notation: parsing, interning, and round-tripping."""
 
 from __future__ import annotations
 
@@ -25,6 +25,9 @@ def test_parse_atoms():
     assert expr.number == Dyadic(-3, 2)
     expr = parse_game(" 6/4 ")
     assert expr.number == Dyadic(3, 1)
+    # whitespace, newlines included, may sit inside a numeral
+    assert parse_game("- 3 / 4").number == Dyadic(-3, 2)
+    assert parse_game("-3/\n4").number == Dyadic(-3, 2)
     assert parse_game("*").kind is ExprKind.STAR
 
 
@@ -49,24 +52,64 @@ def test_elaboration(engine):
     assert parse_position(engine, "{0,0|*,*}") == parse_position(engine, "{0|*}")
 
 
-def test_parse_errors_carry_positions():
-    with pytest.raises(GameParseError) as info:
-        parse_game("{0|")
-    assert info.value.line == 1 and info.value.column == 4
-    assert "}" in info.value.expected
-    with pytest.raises(GameParseError) as info:
-        parse_game("{0,\n,1|2}")
-    assert info.value.line == 2 and info.value.column == 1
-    with pytest.raises(GameParseError) as info:
-        parse_game("0 1")
-    assert info.value.expected == ("end of input",)
-    with pytest.raises(GameParseError) as info:
-        parse_game("{0 ^ 1|}")
-    assert "unexpected character" in str(info.value)
-    with pytest.raises(GameParseError):
-        parse_game("")
-    with pytest.raises(GameParseError):
-        parse_game("{1 2|}")
+_GAME_STARTS = ("integer", "-", "*", "{")
+
+# (text, str(error), line, column, expected) for every place a parse fails
+_PARSE_ERRORS = [
+    ("", "unexpected end of input (line 1, column 1); expected %s"
+     % (_GAME_STARTS,), 1, 1, _GAME_STARTS),
+    ("-", "unexpected end of input (line 1, column 2); expected ('integer',)",
+     1, 2, ("integer",)),
+    ("1/", "unexpected end of input (line 1, column 3); expected ('integer',)",
+     1, 3, ("integer",)),
+    ("- -1", "unexpected '-' (line 1, column 3); expected ('integer',)",
+     1, 3, ("integer",)),
+    ("{0|", "unexpected end of input (line 1, column 4); expected %s"
+     % (_GAME_STARTS + ("}",),), 1, 4, _GAME_STARTS + ("}",)),
+    ("{,0|}", "unexpected ',' (line 1, column 2); expected %s"
+     % (_GAME_STARTS + ("|",),), 1, 2, _GAME_STARTS + ("|",)),
+    ("{0,|}", "unexpected '|' (line 1, column 4); expected %s"
+     % (_GAME_STARTS,), 1, 4, _GAME_STARTS),
+    ("|", "unexpected '|' (line 1, column 1); expected %s"
+     % (_GAME_STARTS,), 1, 1, _GAME_STARTS),
+    ("{0|1 2}", "unexpected '2' (line 1, column 6); expected (',', '}')",
+     1, 6, (",", "}")),
+    ("{1 2|}", "unexpected '2' (line 1, column 4); expected (',', '|')",
+     1, 4, (",", "|")),
+    ("{0|*", "unexpected end of input (line 1, column 5); expected (',', '}')",
+     1, 5, (",", "}")),
+    ("{0|}}", "unexpected '}' (line 1, column 5); expected ('end of input',)",
+     1, 5, ("end of input",)),
+    ("0 1", "unexpected '1' (line 1, column 3); expected ('end of input',)",
+     1, 3, ("end of input",)),
+    ("\n\n  {0|1}\n }",
+     "unexpected '}' (line 4, column 2); expected ('end of input',)",
+     4, 2, ("end of input",)),
+    ("{0,\n,1|2}", "unexpected ',' (line 2, column 1); expected %s"
+     % (_GAME_STARTS,), 2, 1, _GAME_STARTS),
+    ("{0 ^ 1|}", "unexpected character '^' (line 1, column 4)", 1, 4, None),
+    # a bad character anywhere is reported before any parse error
+    ("} ^", "unexpected character '^' (line 1, column 3)", 1, 3, None),
+    # digits that str.isdigit accepts but int() does not
+    ("\u00b2", "unexpected character '\u00b2' (line 1, column 1)", 1, 1, None),
+    ("10\u00b2", "unexpected character '\u00b2' (line 1, column 3)", 1, 3, None),
+    ("{1|} \u2462", "unexpected character '\u2462' (line 1, column 6)",
+     1, 6, None),
+    ("1/3", "denominator 3 is not a power of two (line 1, column 3)", 1, 3, None),
+    ("1/0", "denominator 0 is not a power of two (line 1, column 3)", 1, 3, None),
+    ("{5/6|}", "denominator 6 is not a power of two (line 1, column 4)",
+     1, 4, None),
+]
+
+
+def test_parse_errors_carry_positions(engine):
+    for text, message, line, column, expected in _PARSE_ERRORS:
+        for parse in (parse_game, lambda text: parse_position(engine, text)):
+            with pytest.raises(GameParseError) as info:
+                parse(text)
+            error = info.value
+            got = (str(error), error.line, error.column, error.expected)
+            assert got == (message, line, column, expected), text
 
 
 def test_non_dyadic_denominators_are_rejected():
@@ -78,6 +121,12 @@ def test_non_dyadic_denominators_are_rejected():
         parse_game("{5/6|}")
     with pytest.raises(NonDyadicDenominatorError):
         parse_game("1/0")
+
+
+def test_deep_nesting_parses_without_recursing(engine):
+    text = "{" * 20_000 + "|}" * 20_000
+    assert parse_position(engine, text) == engine.number_position(19_999)
+    assert parse_game(text).kind is ExprKind.BRACES
 
 
 def test_formatting_examples(engine):
