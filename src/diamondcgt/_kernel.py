@@ -367,13 +367,6 @@ class GameStore:
         memo[c] = value
         return value
 
-    def is_member(self, g, integer_system):
-        """Whether g's value lies in the chosen number system."""
-        v = self.number_value(g)
-        if v is None:
-            return False
-        return not integer_system or v[1] == 0
-
     def left_stop(self, g, integer_system):
         """Best number Left can steer toward, within the given system.
 

@@ -131,7 +131,6 @@ class Engine:
         lo_set: Iterable[int],
         hi_set: Iterable[int],
         system: NumberSystem,
-        max_abs: int | None = None,
     ) -> Dyadic | None:
         """Simplest number x in the system with lo <|| x <|| hi for all bounds.
 
@@ -159,43 +158,28 @@ class Engine:
             if b is None or _kernel.dy_lt(s, b):
                 b = s
 
-        if max_abs is None:
-            stop_bound = 0
-            for s in (a, b):
-                if s is not None:
-                    stop_bound = max(stop_bound, abs(_kernel.dy_floor(s)) + 1)
-            max_abs = stop_bound + 2
+        stop_bound = 0
+        for s in (a, b):
+            if s is not None:
+                stop_bound = max(stop_bound, abs(_kernel.dy_floor(s)) + 1)
+        max_abs = stop_bound + 2
 
         lo_int = _kernel.dy_ceil(a) if a is not None else -max_abs
         hi_int = _kernel.dy_floor(b) if b is not None else max_abs
-        clipped = False
-        if lo_int < -max_abs:
-            lo_int = -max_abs
-            clipped = True
-        if hi_int > max_abs:
-            hi_int = max_abs
-            clipped = True
 
         for n in _integers_by_simplicity(lo_int, hi_int):
             x = store.number_position(n, 0)
             if self._fits(los, his, x):
                 return Dyadic(n)
 
-        if integer_system:
-            if a is None or b is None or clipped:
-                # a missing bound admits arbitrarily large witnesses, and the
-                # stop argument says one must exist near the other bound, so
-                # reaching this line means the rail was set too tight
-                raise SearchExhaustedError(
-                    "no integer witness within magnitude %d" % max_abs
-                )
-            return None
-
-        if a is None or b is None or clipped:
+        if a is None or b is None:
+            # a missing bound admits arbitrarily large witnesses, and the
+            # stop argument says one must exist near the other bound, so
+            # reaching this line means the rail was set too tight
             raise SearchExhaustedError(
                 "no integer witness within magnitude %d" % max_abs
             )
-        if _kernel.dy_lt(b, a):
+        if integer_system or _kernel.dy_lt(b, a):
             return None
 
         # witnesses are confined to [a, b]; past the interval's own

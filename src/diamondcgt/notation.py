@@ -4,7 +4,9 @@ The concrete syntax is the usual one: a game is a number (``3``,
 ``-3/4``), the star ``*``, or ``{`` comma-separated options ``|``
 comma-separated options ``}``.  Whitespace is insignificant, also inside
 a numeral, and either option list may be empty.  Numbers must be dyadic;
-a denominator that is not a power of two is rejected at parse time.
+a denominator that is not a power of two is rejected at parse time, and
+so is a numeral whose integer part exceeds ``MAX_INTEGER_PART``: the
+integer n is a chain of |n| nodes.
 
 There is one parser.  It reads the text in a single pass over a regex
 scan, keeps open braces on an explicit stack rather than recursing, and
@@ -68,6 +70,10 @@ _BAD_CHARACTER = re.compile(r"[^\s\d{}|,*/-]")
 _TOKEN = re.compile(r"\d+|\S")
 _GAME_STARTS = ("integer", "-", "*", "{")
 
+# The integer n is a chain of |n| nodes, so a numeral whose integer part is
+# larger is rejected before any node is built (100000 takes about 80 MB).
+MAX_INTEGER_PART = 100_000
+
 _T = TypeVar("_T")
 
 
@@ -97,6 +103,14 @@ def _unexpected(
     tok = tokens[index]
     got = repr(tok) if tok else "end of input"
     return _error(text, _token_offset(text, index), "unexpected %s" % got, expected)
+
+
+def _integer(text: str, tokens: list[str], index: int) -> int:
+    try:
+        return int(tokens[index])
+    except ValueError:  # more digits than int() converts
+        message = "integer of %d digits is too long" % len(tokens[index])
+        raise _error(text, _token_offset(text, index), message) from None
 
 
 def _parse(
@@ -133,19 +147,20 @@ def _parse(
             game = star()
             i += 1
         elif tok == "-" or tok.isdecimal():
+            start = i
             if tok == "-":
                 i += 1
                 if not tokens[i].isdecimal():
                     raise _unexpected(text, tokens, i, ("integer",))
-                numerator = -int(tokens[i])
+                numerator = -_integer(text, tokens, i)
             else:
-                numerator = int(tok)
+                numerator = _integer(text, tokens, i)
             exponent = 0
             if tokens[i + 1] == "/":
                 i += 2
                 if not tokens[i].isdecimal():
                     raise _unexpected(text, tokens, i, ("integer",))
-                denominator = int(tokens[i])
+                denominator = _integer(text, tokens, i)
                 if denominator == 0 or denominator & (denominator - 1):
                     raise _error(
                         text,
@@ -154,6 +169,12 @@ def _parse(
                         error=NonDyadicDenominatorError,
                     )
                 exponent = denominator.bit_length() - 1
+            if abs(numerator) >> exponent > MAX_INTEGER_PART:
+                raise _error(
+                    text,
+                    _token_offset(text, start),
+                    "numeral's integer part exceeds %d" % MAX_INTEGER_PART,
+                )
             game = number(numerator, exponent)
             i += 1
         elif tok == closer:

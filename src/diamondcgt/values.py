@@ -90,14 +90,6 @@ class Relation(Enum):
         return {"LESS": "<", "GREATER": ">", "EQUAL": "=", "FUZZY": "||"}[self.name]
 
     @property
-    def is_leq(self) -> bool:
-        return self in (Relation.LESS, Relation.EQUAL)
-
-    @property
-    def is_geq(self) -> bool:
-        return self in (Relation.GREATER, Relation.EQUAL)
-
-    @property
     def less_or_fuzzy(self) -> bool:
         """Not >= : the mover comparing from the left is not dominated."""
         return self in (Relation.LESS, Relation.FUZZY)

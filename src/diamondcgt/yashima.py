@@ -14,8 +14,11 @@ the plain tuple ``(edges, left_token, right_token)``, where ``edges`` is
 the sorted tuple of ``(min, max)`` endpoint pairs.  It holds no vertex
 count, so boards differing only in trailing isolated vertices share one
 state.  One private successor function per variant turns a compact state
-into its followers without building or re-validating any public object,
-and the solver memoizes game ids per variant on the compact state.
+into its followers without building or re-validating any public object.
+It is the single slide rule: the move descriptors, legality, applying a
+move and the commuting check all read its successor lists, and nothing
+else decides where a token may slide or which edges a slide deletes.
+The solver memoizes game ids per variant on the compact state.
 ``YashimaSolver.solve_stats`` reads the game id, the tree size and the
 reachable count off one post-order walk.
 
@@ -34,6 +37,7 @@ then checked against its game's verdict.
 from __future__ import annotations
 
 import itertools
+import math
 from itertools import chain, filterfalse
 from dataclasses import dataclass
 from enum import Enum
@@ -127,24 +131,10 @@ class Move:
 
 # --- the compact state ----------------------------------------------------
 #
-# Edges are sorted, so the copies of one pair are adjacent and a move list
-# skips every copy after the first: parallel copies lead to the same state.
-
-
-def _moves(edges, token, other):
-    """(edge, destination) of each distinct slide of token, in edge order."""
-    out = []
-    prev = None
-    for edge in edges:
-        if edge != prev:
-            prev = edge
-            u, v = edge
-            if u == token:
-                if v != other:
-                    out.append((edge, v))
-            elif v == token and u != other:
-                out.append((edge, u))
-    return out
+# The two successor functions below are the only code that decides where a
+# token may slide and which edge copies the slide deletes.  Edges are
+# sorted, so the copies of one pair are adjacent and a scan skips every
+# copy after the first: parallel copies lead to the same state.
 
 
 def _yashima_successors(state):
@@ -205,66 +195,53 @@ def _tron_successors(state):
     return lefts, rights
 
 
-def _yashima_cut(edges, token, edge):
-    i = edges.index(edge)
-    return edges[:i] + edges[i + 1 :]
-
-
-def _tron_cut(edges, token, edge):
-    return tuple([e for e in edges if token not in e])
-
-
 _SUCCESSORS = {Variant.YASHIMA: _yashima_successors, Variant.TRON: _tron_successors}
-# the edges left after one given slide
-_CUTS = {Variant.YASHIMA: _yashima_cut, Variant.TRON: _tron_cut}
 
 
 def _compact(state: YashimaState) -> tuple:
     return state.graph.edges, state.left_token, state.right_token
 
 
-def _tokens(state: YashimaState, player: Player) -> tuple[int, int]:
-    """The mover's token, then the other token."""
+def _edge(u: int, v: int) -> tuple[int, int]:
+    return (u, v) if u < v else (v, u)
+
+
+def _slides(state: YashimaState, player: Player) -> dict:
+    """Each distinct slide of the player's token, in edge order, as
+    ``Move -> compact successor state``."""
+    lefts, rights = _SUCCESSORS[state.variant](_compact(state))
     if player is Player.LEFT:
-        return state.left_token, state.right_token
-    return state.right_token, state.left_token
+        lt = state.left_token
+        return {Move(_edge(lt, s[1]), s[1]): s for s in lefts}
+    rt = state.right_token
+    return {Move(_edge(rt, s[2]), s[2]): s for s in rights}
 
 
 def move_descriptors(state: YashimaState, player: Player) -> tuple[Move, ...]:
-    token, other = _tokens(state, player)
-    return tuple(Move(e, d) for e, d in _moves(state.graph.edges, token, other))
+    return tuple(_slides(state, player))
 
 
 def is_legal(state: YashimaState, player: Player, move: Move) -> bool:
-    token, other = _tokens(state, player)
-    if token not in move.edge or move.destination == other:
-        return False
-    if move.destination not in move.edge or move.destination == token:
-        return False
-    return state.graph.multiplicity(*move.edge) > 0
+    """Whether the move is a slide of the player's token; the edge may be
+    given in either orientation."""
+    return Move(_edge(*move.edge), move.destination) in _slides(state, player)
 
 
 def apply_move(state: YashimaState, player: Player, move: Move) -> YashimaState:
-    if not is_legal(state, player, move):
+    after = _slides(state, player).get(Move(_edge(*move.edge), move.destination))
+    if after is None:
         raise InvalidStateError("move %r is not legal for %s" % (move, player.value))
-    token, _ = _tokens(state, player)
-    u, v = move.edge
-    edge = (u, v) if u < v else (v, u)
-    graph = MultiGraph(
-        state.graph.vertex_count, _CUTS[state.variant](state.graph.edges, token, edge)
-    )
-    if player is Player.LEFT:
-        return YashimaState(graph, move.destination, state.right_token, state.variant)
-    return YashimaState(graph, state.left_token, move.destination, state.variant)
+    edges, lt, rt = after
+    graph = MultiGraph(state.graph.vertex_count, edges)
+    return YashimaState(graph, lt, rt, state.variant)
 
 
 def legal_moves(state: YashimaState, player: Player) -> tuple[YashimaState, ...]:
     """Successor states for the player, deduplicated, in key order."""
-    lefts, rights = _SUCCESSORS[state.variant](_compact(state))
     vertex_count = state.graph.vertex_count
     succs = [
         YashimaState(MultiGraph(vertex_count, edges), lt, rt, state.variant)
-        for edges, lt, rt in (lefts if player is Player.LEFT else rights)
+        for edges, lt, rt in _slides(state, player).values()
     ]
     return tuple(sorted(succs, key=YashimaState.key))
 
@@ -301,11 +278,18 @@ def _different_color(labels, lt: int, rt: int) -> bool:
 
 def color_class(state: YashimaState) -> ColorClass:
     """Token coloring: different components or opposite classes both count
-    as different-color; any odd cycle anywhere makes the board unusable."""
-    labels = _bipartition(state.graph.vertex_count, state.graph.edges)
+    as different-color; any odd cycle anywhere makes the board unusable.
+
+    Only the vertices up to the highest edge endpoint are labelled: those
+    above it are isolated, so a token there has a component of its own.
+    """
+    edges = state.graph.edges
+    lt, rt = state.left_token, state.right_token
+    top = max([v for _, v in edges], default=-1)
+    labels = _bipartition(top + 1, edges)
     if labels is None:
         return ColorClass.NOT_BIPARTITE
-    if _different_color(labels, state.left_token, state.right_token):
+    if max(lt, rt) > top or _different_color(labels, lt, rt):
         return ColorClass.DIFFERENT_COLOR
     return ColorClass.SAME_COLOR
 
@@ -401,26 +385,34 @@ class YashimaSolver:
         return memo[root]
 
 
-def _commuting_failure(edges, lt, rt, cut, lmoves, rmoves):
-    """First ((edge, dest), (edge, dest), reason) that fails to commute."""
-    for ml in lmoves:
-        el, dl = ml
-        after_l = cut(edges, lt, el)
-        for mr in rmoves:
-            er, dr = mr
-            after_r = cut(edges, rt, er)
-            if dr == dl or er not in after_l:
-                return ml, mr, "right move blocked after left"
-            if el not in after_r:
-                return ml, mr, "left move blocked after right"
-            if cut(after_l, rt, er) != cut(after_r, lt, el):
-                return ml, mr, "orders disagree"
+def _commuting_failure(successors, lefts, rights):
+    """First (Left successor, Right successor, reason) that fails to commute.
+
+    Right's slide to d is still legal after Left's slide exactly when
+    Left's successor has a Right successor with the right token on d, and
+    the other way round; the two orders agree when they reach one state.
+    """
+    if not (lefts and rights):
+        return None
+    # each Right successor's Left successors, by the left token
+    after_rights = [{s[1]: s for s in successors(sr)[0]} for sr in rights]
+    for sl in lefts:
+        after_left = {s[2]: s for s in successors(sl)[1]}
+        for sr, after_right in zip(rights, after_rights):
+            left_first = after_left.get(sr[2])
+            if left_first is None:
+                return sl, sr, "right move blocked after left"
+            right_first = after_right.get(sl[1])
+            if right_first is None:
+                return sl, sr, "left move blocked after right"
+            if left_first != right_first:
+                return sl, sr, "orders disagree"
     return None
 
 
-def _as_moves(failure):
-    ml, mr, reason = failure
-    return Move(*ml), Move(*mr), reason
+def _move_pair(lt: int, rt: int, failure):
+    sl, sr, reason = failure
+    return Move(_edge(lt, sl[1]), sl[1]), Move(_edge(rt, sr[2]), sr[2]), reason
 
 
 def commuting_violation(state: YashimaState):
@@ -429,11 +421,9 @@ def commuting_violation(state: YashimaState):
     A pair fails when one move stops being legal after the other, or when
     the two application orders land in different states.
     """
-    edges, lt, rt = _compact(state)
-    bad = _commuting_failure(
-        edges, lt, rt, _CUTS[state.variant], _moves(edges, lt, rt), _moves(edges, rt, lt)
-    )
-    return None if bad is None else _as_moves(bad)
+    successors = _SUCCESSORS[state.variant]
+    bad = _commuting_failure(successors, *successors(_compact(state)))
+    return None if bad is None else _move_pair(state.left_token, state.right_token, bad)
 
 
 @dataclass(frozen=True)
@@ -458,19 +448,10 @@ def _sweep_size(max_vertices: int, max_edges: int) -> int:
     for n in range(2, max_vertices + 1):
         pairs = n * (n - 1) // 2
         graphs = sum(
-            _binomial(pairs + m - 1, m) for m in range(0, max_edges + 1)
+            math.comb(pairs + m - 1, m) for m in range(0, max_edges + 1)
         )
         total += graphs * n * (n - 1)
     return total
-
-
-def _binomial(n: int, k: int) -> int:
-    if k < 0 or k > n:
-        return 0
-    out = 1
-    for i in range(1, k + 1):
-        out = out * (n - k + i) // i
-    return out
 
 
 def verify_bipartite_simplicity(
@@ -511,7 +492,6 @@ def verify_bipartite_simplicity(
             "sweep of %d states exceeds the budget of %d" % (upper, state_budget)
         )
     successors = _SUCCESSORS[variant]
-    cut = _CUTS[variant]
     intern = engine.intern
     zsys = NumberSystem.Z
     # Every swept state's game id.  A successor has fewer edge copies than
@@ -579,12 +559,11 @@ def verify_bipartite_simplicity(
                             different_color += 1
                             if not integer:
                                 found.append(("different_color_not_integer", str(value)))
-                            lmoves = _moves(edges, lt, rt)
-                            rmoves = _moves(edges, rt, lt)
-                            commuting_pairs += len(lmoves) * len(rmoves)
-                            bad = _commuting_failure(edges, lt, rt, cut, lmoves, rmoves)
+                            commuting_pairs += len(lefts) * len(rights)
+                            bad = _commuting_failure(successors, lefts, rights)
                             if bad is not None:
-                                found.append(("non_commuting", "%r %r %s" % _as_moves(bad)))
+                                detail = "%r %r %s" % _move_pair(lt, rt, bad)
+                                found.append(("non_commuting", detail))
                         if found:
                             state = YashimaState(MultiGraph(n, edges), lt, rt, variant)
                             counterexamples.extend(

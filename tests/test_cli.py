@@ -185,11 +185,20 @@ def test_parse_errors_exit_2(capsys):
     code, out, err = _run(capsys, "value", "{" * 1000 + "|" + "}" * 1000)
     assert code == 2 and out == ""
     assert err == "error: unexpected '}' (line 1, column 1003); expected (',', '|')\n"
-    # digits that str.isdigit accepts but int() does not
+    long_digits = "1" + "0" * 4300  # past int()'s default digit limit
+    too_long = "integer of 4301 digits is too long"
+    too_large = "numeral's integer part exceeds 100000"
     for argv, message in [
+        # digits that str.isdigit accepts but int() does not
         (("value", "\u00b2"), "unexpected character '\u00b2' (line 1, column 1)"),
         (("value", "10\u00b2"), "unexpected character '\u00b2' (line 1, column 3)"),
         (("compare", "{1|}", "\u2462"), "unexpected character '\u2462' (line 1, column 1)"),
+        # numerals too long for int() or too large to build
+        (("value", long_digits), too_long + " (line 1, column 1)"),
+        (("value", "1/" + long_digits), too_long + " (line 1, column 3)"),
+        (("value", "{%s|}" % long_digits), too_long + " (line 1, column 2)"),
+        (("value", "-100001"), too_large + " (line 1, column 1)"),
+        (("value", "{0|200002/2}"), too_large + " (line 1, column 4)"),
     ]:
         code, out, err = _run(capsys, *argv)
         assert code == 2 and out == ""

@@ -28,6 +28,9 @@ def test_parse_atoms():
     # whitespace, newlines included, may sit inside a numeral
     assert parse_game("- 3 / 4").number == Dyadic(-3, 2)
     assert parse_game("-3/\n4").number == Dyadic(-3, 2)
+    # the largest integer parts a numeral may have
+    assert parse_game("-100000").number == Dyadic(-100000)
+    assert parse_game("200001/2").number == Dyadic(200001, 1)
     assert parse_game("*").kind is ExprKind.STAR
 
 

@@ -24,6 +24,7 @@ from diamondcgt.yashima import (
     apply_move,
     color_class,
     commuting_violation,
+    is_legal,
     legal_moves,
     move_descriptors,
     verify_bipartite_simplicity,
@@ -109,6 +110,12 @@ def test_color_class():
     assert color_class(YashimaState(triangle, 0, 1)) is ColorClass.NOT_BIPARTITE
     two_parts = MultiGraph(4, ((0, 1), (2, 3)))
     assert color_class(YashimaState(two_parts, 0, 2)) is ColorClass.DIFFERENT_COLOR
+    # a billion vertices, nearly all isolated: only the touched ones are labelled
+    huge = MultiGraph(10**9, ((0, 1),))
+    assert color_class(YashimaState(huge, 0, 1)) is ColorClass.DIFFERENT_COLOR
+    assert color_class(YashimaState(huge, 0, 10**9 - 1)) is ColorClass.DIFFERENT_COLOR
+    huge_triangle = MultiGraph(10**9, triangle.edges)
+    assert color_class(YashimaState(huge_triangle, 0, 5)) is ColorClass.NOT_BIPARTITE
 
 
 def test_hand_counted_searches(engine):
@@ -221,6 +228,35 @@ def test_random_boards_match_oracle(engine, to_oracle, state):
     assert solver.reachable_states(state) == o.slide_state_count(
         edges, state.left_token, state.right_token, variant
     )
+
+
+@settings(max_examples=300, deadline=None)
+@given(state=_boards())
+def test_random_boards_slide_like_the_oracle(state):
+    edges, variant = state.graph.edges, state.variant.value
+    lt, rt = state.left_token, state.right_token
+    for player, token, other in ((Player.LEFT, lt, rt), (Player.RIGHT, rt, lt)):
+        got = []
+        for move in move_descriptors(state, player):
+            got.append((apply_move(state, player, move).graph.edges, move.destination))
+            u, v = move.edge
+            assert is_legal(state, player, move)
+            assert is_legal(state, player, Move((v, u), move.destination))
+        assert sorted(got) == sorted(o.slide_successors(edges, token, other, variant))
+
+    def after(rest, mover, other, dest):
+        # the edges left once the mover slides to dest, or None if it may not
+        slides = o.slide_successors(rest, mover, other, variant)
+        return {d: r for r, d in slides}.get(dest)
+
+    commutes = True
+    for rest_l, dl in o.slide_successors(edges, lt, rt, variant):
+        for rest_r, dr in o.slide_successors(edges, rt, lt, variant):
+            left_first = after(rest_l, rt, dl, dr)
+            right_first = after(rest_r, lt, dr, dl)
+            if left_first is None or left_first != right_first:
+                commutes = False
+    assert (commuting_violation(state) is None) == commutes
 
 
 def test_solve_stats_ignore_an_already_filled_memo(engine):
