@@ -57,10 +57,6 @@ def dy_lt(a, b):
     return a[0] << b[1] < b[0] << a[1]
 
 
-def dy_leq(a, b):
-    return a[0] << b[1] <= b[0] << a[1]
-
-
 def dy_floor(a):
     return a[0] >> a[1]
 
@@ -441,11 +437,24 @@ class GameStore:
                 self._remember_number(pos, k, 0)
                 self._birthday[pos] = abs(k)
             return pos
-        pos = self.intern(
-            (self.number_position(num - 1, exp),),
-            (self.number_position(num + 1, exp),),
-        )
-        self._remember_number(pos, num, exp)
+        # num is odd, so both neighbours have fewer halvings; build them on
+        # an explicit stack, left neighbour first, in post-order
+        stack = [(num, exp)]
+        while stack:
+            n, e = stack[-1]
+            lo = dy_normalize(n - 1, e)
+            hi = dy_normalize(n + 1, e)
+            for key in (lo, hi):
+                if key not in memo:
+                    if key[1] == 0:
+                        self.number_position(*key)
+                    else:
+                        stack.append(key)
+                        break
+            else:
+                stack.pop()
+                pos = self.intern((memo[lo],), (memo[hi],))
+                self._remember_number(pos, n, e)
         return pos
 
     def _remember_number(self, pos, num, exp):

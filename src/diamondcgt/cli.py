@@ -14,13 +14,7 @@ import argparse
 import json
 import sys
 
-from .diamond import (
-    PropertyName,
-    Witness,
-    has_diamond,
-    has_property,
-    property_system,
-)
+from .diamond import PropertyName, Witness, has_property
 from .engine import Engine
 from .errors import DiamondCgtError
 from .graphio import load_graph, print_graph
@@ -220,10 +214,7 @@ def _run_expr_command(args, engine: Engine) -> int:
     if args.command == "diamond":
         name = PropertyName(args.property_name)
         g = parse_position(engine, args.expr)
-        if name in (PropertyName.DIAMOND_Z, PropertyName.DIAMOND_D):
-            report = has_diamond(engine, g, property_system(name))
-        else:
-            report = has_property(engine, g, name)
+        report = has_property(engine, g, name)
         witnesses = (
             [_witness_json(engine, report.witness)] if report.witness else []
         )

@@ -150,14 +150,14 @@ def has_diamond(engine: Engine, g: int, system: NumberSystem) -> PropertyReport:
 
 
 def has_property(engine: Engine, g: int, p: PropertyName) -> PropertyReport:
-    """The second-move refinements over a guide pair.
+    """Whether ``g`` has property ``p``, with a witness when it does.
 
-    The two system-level tags have their own operation (has_diamond) and
-    are rejected here.
+    The two system-level tags are ``has_diamond`` in their system; the
+    other tags are the second-move refinements over a guide pair.
     """
-    if p in (PropertyName.DIAMOND_Z, PropertyName.DIAMOND_D):
-        raise ValueError("use has_diamond for the system-level properties")
     system = property_system(p)
+    if p is PropertyName.DIAMOND_Z or p is PropertyName.DIAMOND_D:
+        return has_diamond(engine, g, system)
     member = engine.as_number(g, system)
     if member is not None:
         return PropertyReport(True, p, Witness(member_value=member))
@@ -213,12 +213,6 @@ def _second_move_witness(
                 return Witness(guide_left=gl, guide_right=gr, second_moves=(None, grl))
         return None
     raise ValueError("unknown property %r" % (p,))
-
-
-# only the integer refinements support a nontrivial partition with the
-# second-move condition; the dyadic refinements force everything into the
-# certified part because their guides must already be numbers
-_SECOND_MOVE_PROPERTIES = frozenset(_Z_FAMILY)
 
 
 @dataclass(frozen=True)
@@ -297,17 +291,16 @@ def verify_closed_set(
         return ClosedSetReport(False, check, g, counts)
 
     for g in sorted(part.certified):
-        if p is PropertyName.DIAMOND_Z or p is PropertyName.DIAMOND_D:
-            held = has_diamond(engine, g, system).holds
-        else:
-            held = has_property(engine, g, p).holds
-        if not held:
+        if not has_property(engine, g, p).holds:
             return report("hypothesis_property", g)
     for g in sorted(part.plain):
         for opt in engine.left_options(g) + engine.right_options(g):
             if opt not in part.certified:
                 return report("hypothesis_options_certified", g)
-    if p in _SECOND_MOVE_PROPERTIES:
+    # only the integer refinements support a nontrivial partition with the
+    # second-move condition; the dyadic refinements force everything into the
+    # certified part because their guides must already be numbers
+    if p in _Z_FAMILY:
         for g in sorted(part.certified):
             for gl in engine.left_options(g):
                 for glr in engine.right_options(gl):

@@ -28,8 +28,12 @@ def _parse_int(word: str, what: str, line_no: int) -> int:
     try:
         return int(word)
     except ValueError:
+        # keep the one-line message short however long the word is
+        got = repr(word)
+        if len(word) > 20:
+            got = "%r (%d characters)" % (word[:20] + "\u2026", len(word))
         raise GraphParseError(
-            "%s must be an integer, got %r" % (what, word), line=line_no
+            "%s must be an integer, got %s" % (what, got), line=line_no
         ) from None
 
 
@@ -115,9 +119,16 @@ def parse_graph(text: str) -> YashimaState:
 
 
 def load_graph(path: str) -> YashimaState:
-    """Parse the graph file at ``path``."""
+    """Parse the graph file at ``path``.
+
+    Raises GraphParseError for a file that is not UTF-8 text.
+    """
     with open(path, "r", encoding="utf-8") as handle:
-        return parse_graph(handle.read())
+        try:
+            text = handle.read()
+        except UnicodeDecodeError:
+            raise GraphParseError("%s is not UTF-8 text" % path) from None
+    return parse_graph(text)
 
 
 def print_graph(state: YashimaState) -> str:

@@ -8,13 +8,12 @@ a denominator that is not a power of two is rejected at parse time, and
 so is a numeral whose integer part exceeds ``MAX_INTEGER_PART``: the
 integer n is a chain of |n| nodes.
 
-There is one parser.  It reads the text in a single pass over a regex
-scan, keeps open braces on an explicit stack rather than recursing, and
-builds each game through a builder the moment the game is complete.
-``parse_position`` builds into an engine: numerals go straight to the
-store's canonical number trees and braces are interned.
-``parse_game`` builds a small expression tree instead, with the same
-grammar and the same errors.  The formatters render positions back out.
+There is one parser, ``parse_position``, and it builds straight into an
+engine: no tree sits between the text and the store.  It reads the text
+in a single pass over a regex scan and keeps open braces on an explicit
+stack rather than recursing.  Numerals go straight to the store's
+canonical number trees and braces are interned the moment they close.
+The formatters render positions back out.
 ``format_value`` compacts number-valued nodes to numerals and ``{0|0}``
 to ``*``; canonical strings round-trip through the parser to the
 identical position.
@@ -23,48 +22,9 @@ identical position.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from enum import Enum
-from typing import Callable, TypeVar
 
 from .engine import Engine
 from .errors import GameParseError, NonDyadicDenominatorError
-from .values import Dyadic
-
-
-class ExprKind(Enum):
-    NUMBER = "number"
-    STAR = "star"
-    BRACES = "braces"
-
-
-@dataclass(frozen=True)
-class GameExpr:
-    """Parsed game expression.
-
-    ``number`` is set for NUMBER nodes; ``left`` and ``right`` are set
-    for BRACES nodes.
-    """
-
-    kind: ExprKind
-    number: Dyadic | None = None
-    left: tuple["GameExpr", ...] = ()
-    right: tuple["GameExpr", ...] = ()
-
-    @staticmethod
-    def make_number(value: Dyadic) -> "GameExpr":
-        return GameExpr(ExprKind.NUMBER, number=value)
-
-    @staticmethod
-    def make_star() -> "GameExpr":
-        return GameExpr(ExprKind.STAR)
-
-    @staticmethod
-    def make_braces(
-        left: tuple["GameExpr", ...], right: tuple["GameExpr", ...]
-    ) -> "GameExpr":
-        return GameExpr(ExprKind.BRACES, left=left, right=right)
-
 
 _BAD_CHARACTER = re.compile(r"[^\s\d{}|,*/-]")
 _TOKEN = re.compile(r"\d+|\S")
@@ -73,8 +33,6 @@ _GAME_STARTS = ("integer", "-", "*", "{")
 # The integer n is a chain of |n| nodes, so a numeral whose integer part is
 # larger is rejected before any node is built (100000 takes about 80 MB).
 MAX_INTEGER_PART = 100_000
-
-_T = TypeVar("_T")
 
 
 def _error(
@@ -113,19 +71,15 @@ def _integer(text: str, tokens: list[str], index: int) -> int:
         raise _error(text, _token_offset(text, index), message) from None
 
 
-def _parse(
-    text: str,
-    number: Callable[[int, int], _T],
-    star: Callable[[], _T],
-    braces: Callable[[list[_T], list[_T]], _T],
-) -> _T:
-    """The one parser behind ``parse_game`` and ``parse_position``.
+def parse_position(engine: Engine, text: str) -> int:
+    """Parse braces notation and intern it into ``engine``.
 
-    Games are built through the callbacks ``number(numerator, exponent)``,
-    ``star()`` and ``braces(left, right)`` (``left`` and ``right`` are
-    lists), each called the moment its game is complete, so options are
-    built left to right before the game that holds them.  Open braces sit
-    on an explicit stack, so nesting depth costs no recursion.
+    Raises GameParseError with the offending line and column, or
+    NonDyadicDenominatorError for a denominator that is not a power of
+    two.  Each game is interned the moment it is complete, so options are
+    built left to right before the game that holds them, and options
+    completed before a parse error stay interned.  Open braces sit on an
+    explicit stack, so nesting depth costs no recursion.
     """
     bad = _BAD_CHARACTER.search(text)
     if bad is not None:
@@ -144,7 +98,7 @@ def _parse(
             i += 1
             continue
         if tok == "*":
-            game = star()
+            game = engine.star()
             i += 1
         elif tok == "-" or tok.isdecimal():
             start = i
@@ -175,7 +129,7 @@ def _parse(
                     _token_offset(text, start),
                     "numeral's integer part exceeds %d" % MAX_INTEGER_PART,
                 )
-            game = number(numerator, exponent)
+            game = engine.store.number_position(numerator, exponent)
             i += 1
         elif tok == closer:
             game = None  # the option list is empty
@@ -195,7 +149,7 @@ def _parse(
                 (right if on_right else left).append(game)
             if tok == "}" and on_right:
                 stack.pop()
-                game = braces(left, right)
+                game = engine.intern(left, right)
                 i += 1
                 continue
             if tok == ",":
@@ -207,31 +161,6 @@ def _parse(
                 raise _unexpected(text, tokens, i, (",", "}" if on_right else "|"))
             i += 1
             break
-
-
-def parse_game(text: str) -> GameExpr:
-    """Parse braces notation into an expression tree.
-
-    Raises GameParseError with the offending line and column, or
-    NonDyadicDenominatorError for a denominator that is not a power of
-    two.
-    """
-    return _parse(
-        text,
-        lambda num, exp: GameExpr.make_number(Dyadic(num, exp)),
-        GameExpr.make_star,
-        lambda left, right: GameExpr.make_braces(tuple(left), tuple(right)),
-    )
-
-
-def parse_position(engine: Engine, text: str) -> int:
-    """Parse braces notation and intern it into ``engine``.
-
-    Same grammar and errors as ``parse_game``, with no tree in between:
-    numerals go straight to the store's number trees.  Options completed
-    before a parse error stay interned.
-    """
-    return _parse(text, engine.store.number_position, engine.star, engine.intern)
 
 
 def _render(engine: Engine, g: int, braces_at_top: bool) -> str:

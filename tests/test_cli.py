@@ -42,6 +42,9 @@ def test_value(capsys):
     assert out == "*\n"
     assert _run(capsys, "value", "5000") == (0, "5000\n", "")
     assert _run(capsys, "value", "-5000") == (0, "-5000\n", "")
+    # 1,000 halvings deep: the number tree is built without recursing
+    deep = "1/%d" % 2**1000
+    assert _run(capsys, "value", deep) == (0, deep + "\n", "")
 
 
 def test_negative_fractions_are_expressions(capsys):
@@ -172,13 +175,18 @@ def test_yashima_verify_negative_bounds_exit_2(capsys, bound):
     assert err == "error: max_vertices and max_edges must be nonnegative\n"
 
 
-def test_parse_errors_exit_2(capsys):
+def test_parse_errors_exit_2(capsys, tmp_path):
     code, out, err = _run(capsys, "value", "1/3")
     assert code == 2 and out == "" and err.startswith("error:")
     code, _, err = _run(capsys, "value", "{0|")
     assert code == 2 and "expected" in err
     code, _, err = _run(capsys, "yashima", "value", str(GRAPHS / "missing.graph"))
     assert code == 2 and err.startswith("error:")
+    not_utf8 = tmp_path / "not_utf8.graph"
+    not_utf8.write_bytes(b"\xff\xfe\x00bad")
+    code, out, err = _run(capsys, "yashima", "value", str(not_utf8))
+    assert code == 2 and out == ""
+    assert err == "error: %s is not UTF-8 text\n" % not_utf8
     code, _, err = _run(capsys, "yashima", "verify", "--state-budget", "5")
     assert code == 2 and "budget" in err
     # one '|' for 1,000 open braces: the second innermost brace lacks its '|'

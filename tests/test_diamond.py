@@ -142,8 +142,18 @@ def test_has_property_examples(engine):
     assert has_property(engine, engine.zero, PropertyName.DIAMOND).holds
     assert not has_property(engine, engine.star(), PropertyName.TRIANGLE).holds
     assert not has_property(engine, engine.star(), PropertyName.DIAMOND).holds
-    with pytest.raises(ValueError):
-        has_property(engine, engine.zero, PropertyName.DIAMOND_Z)
+    # the system-level tags answer as has_diamond in their system
+    star = engine.star()
+    positions = [
+        engine.zero,
+        star,
+        engine.number_position(Dyadic(1, 1)),
+        engine.intern((engine.zero,), (engine.number_position(-3),)),
+        engine.intern((star,), (star,)),
+    ]
+    for g in positions:
+        for tag, system in ((PropertyName.DIAMOND_Z, Z), (PropertyName.DIAMOND_D, D)):
+            assert has_property(engine, g, tag) == has_diamond(engine, g, system)
 
 
 def test_empty_side_positions_hold_every_property(engine):

@@ -46,6 +46,13 @@ def test_parse_error_lines():
     with pytest.raises(GraphParseError) as info:
         parse_graph("vertices two\nL 0\nR 1\n")
     assert info.value.line == 1 and "integer" in str(info.value)
+    # a word too long for int() is shown by its first 20 characters
+    with pytest.raises(GraphParseError) as info:
+        parse_graph("vertices 1%s\nL 0\nR 1\n" % ("0" * 4300))
+    assert str(info.value) == (
+        "vertex count must be an integer, got '10000000000000000000\u2026'"
+        " (4301 characters) (line 1)"
+    )
     with pytest.raises(GraphParseError) as info:
         parse_graph("vertices 2\nL 0\nR 1\nedge 0 1\n")
     assert "unknown directive" in str(info.value)

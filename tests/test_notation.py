@@ -6,41 +6,44 @@ import random
 
 import pytest
 
+from diamondcgt.engine import Engine
 from diamondcgt.errors import GameParseError, NonDyadicDenominatorError
 from diamondcgt.notation import (
-    ExprKind,
     format_canonical,
     format_position,
     format_value,
-    parse_game,
     parse_position,
 )
 from diamondcgt.values import Dyadic
 
 
-def test_parse_atoms():
-    expr = parse_game("3")
-    assert expr.kind is ExprKind.NUMBER and expr.number == Dyadic(3)
-    expr = parse_game("-3/4")
-    assert expr.number == Dyadic(-3, 2)
-    expr = parse_game(" 6/4 ")
-    assert expr.number == Dyadic(3, 1)
+def test_parse_atoms(engine):
+    def number(numerator, exponent=0):
+        return engine.number_position(Dyadic(numerator, exponent))
+
+    assert parse_position(engine, "3") == number(3)
+    assert parse_position(engine, "-3/4") == number(-3, 2)
+    assert parse_position(engine, " 6/4 ") == number(3, 1)
     # whitespace, newlines included, may sit inside a numeral
-    assert parse_game("- 3 / 4").number == Dyadic(-3, 2)
-    assert parse_game("-3/\n4").number == Dyadic(-3, 2)
-    # the largest integer parts a numeral may have
-    assert parse_game("-100000").number == Dyadic(-100000)
-    assert parse_game("200001/2").number == Dyadic(200001, 1)
-    assert parse_game("*").kind is ExprKind.STAR
+    assert parse_position(engine, "- 3 / 4") == number(-3, 2)
+    assert parse_position(engine, "-3/\n4") == number(-3, 2)
+    assert parse_position(engine, "*") == engine.star()
+    # the largest integer parts a numeral may have; their chains are
+    # 100,000 nodes long, so they go into an engine of their own
+    fresh = Engine()
+    assert parse_position(fresh, "-100000") == fresh.number_position(Dyadic(-100000))
+    assert parse_position(fresh, "200001/2") == fresh.number_position(Dyadic(200001, 1))
 
 
-def test_parse_braces():
-    expr = parse_game("{0, * | {1|}}")
-    assert expr.kind is ExprKind.BRACES
-    assert [child.kind for child in expr.left] == [ExprKind.NUMBER, ExprKind.STAR]
-    (right,) = expr.right
-    assert right.kind is ExprKind.BRACES and right.right == ()
-    assert parse_game("{|}").left == ()
+def test_parse_braces(engine):
+    star = engine.star()
+    two = engine.number_position(2)
+    g = parse_position(engine, "{0, * | {1|}}")
+    assert g == engine.intern((engine.zero, star), (two,))
+    assert sorted(engine.left_options(g)) == sorted((engine.zero, star))
+    assert engine.right_options(g) == (two,)
+    assert engine.right_options(two) == ()
+    assert parse_position(engine, "{|}") == engine.zero
 
 
 def test_elaboration(engine):
@@ -107,29 +110,27 @@ _PARSE_ERRORS = [
 
 def test_parse_errors_carry_positions(engine):
     for text, message, line, column, expected in _PARSE_ERRORS:
-        for parse in (parse_game, lambda text: parse_position(engine, text)):
-            with pytest.raises(GameParseError) as info:
-                parse(text)
-            error = info.value
-            got = (str(error), error.line, error.column, error.expected)
-            assert got == (message, line, column, expected), text
+        with pytest.raises(GameParseError) as info:
+            parse_position(engine, text)
+        error = info.value
+        got = (str(error), error.line, error.column, error.expected)
+        assert got == (message, line, column, expected), text
 
 
-def test_non_dyadic_denominators_are_rejected():
+def test_non_dyadic_denominators_are_rejected(engine):
     with pytest.raises(NonDyadicDenominatorError) as info:
-        parse_game("1/3")
+        parse_position(engine, "1/3")
     assert isinstance(info.value, GameParseError)
     assert info.value.column == 3
     with pytest.raises(NonDyadicDenominatorError):
-        parse_game("{5/6|}")
+        parse_position(engine, "{5/6|}")
     with pytest.raises(NonDyadicDenominatorError):
-        parse_game("1/0")
+        parse_position(engine, "1/0")
 
 
 def test_deep_nesting_parses_without_recursing(engine):
     text = "{" * 20_000 + "|}" * 20_000
     assert parse_position(engine, text) == engine.number_position(19_999)
-    assert parse_game(text).kind is ExprKind.BRACES
 
 
 def test_formatting_examples(engine):

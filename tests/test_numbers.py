@@ -53,6 +53,16 @@ def test_deep_integer_positions_are_built_without_recursing():
     assert engine.as_number(engine.number_position(-5000), Z) == Dyadic(-5000)
 
 
+def test_deep_dyadic_positions_are_built_without_recursing():
+    engine = Engine()  # keep the shared session universe small
+    tiny = engine.number_position(Dyadic(1, 5000))
+    assert engine.as_number(tiny, D) == Dyadic(1, 5000)
+    assert engine.left_options(tiny) == (engine.zero,)
+    assert engine.right_options(tiny) == (engine.number_position(Dyadic(1, 4999)),)
+    deep = engine.number_position(Dyadic(-12345, 5000))
+    assert engine.as_number(deep, D) == Dyadic(-12345, 5000)
+
+
 def test_as_number_and_membership(engine):
     assert engine.as_number(engine.zero, Z) == Dyadic(0)
     half = engine.number_position(Dyadic(1, 1))
