@@ -15,8 +15,11 @@ Everything expensive is memoized against the owning store:
 * ``canonical`` rewrites a node into the unique simplest equal-valued form
   by removing dominated options and bypassing reversible ones bottom-up,
 * ``number_value`` decodes canonical shapes into exact dyadic rationals,
-* ``left_stop`` / ``right_stop`` follow the optimal-stopping recursion for
+* ``stop`` follows the optimal-stopping recursion for either player in
   either the integer or the dyadic number system.
+
+Each rule is written once for both players and takes a ``side``, 0 for
+Left and 1 for Right: Right's rule is Left's with the order reversed.
 
 Dyadic rationals are plain ``(numerator, exponent)`` int pairs meaning
 ``numerator / 2**exponent``, normalized so the exponent is zero or the
@@ -100,8 +103,7 @@ class GameStore:
         "_canonical",
         "_birthday",
         "_number",
-        "_left_stops",
-        "_right_stops",
+        "_stops",
         "_numpos",
         "zero",
     )
@@ -113,8 +115,7 @@ class GameStore:
         self._canonical = {}
         self._birthday = {}
         self._number = {}
-        self._left_stops = {}
-        self._right_stops = {}
+        self._stops = ({}, {})  # per side: (g, integer_system) -> stop
         self._numpos = {}
         self.zero = self.intern((), ())
 
@@ -129,8 +130,8 @@ class GameStore:
             "canonical": len(self._canonical),
             "birthday": len(self._birthday),
             "number": len(self._number),
-            "left_stops": len(self._left_stops),
-            "right_stops": len(self._right_stops),
+            "left_stops": len(self._stops[0]),
+            "right_stops": len(self._stops[1]),
             "number_positions": len(self._numpos),
         }
 
@@ -228,30 +229,38 @@ class GameStore:
         memo[g] = depth
         return depth
 
-    def _dominated_left(self, gl, options):
-        # a Left option is dropped when another one is at least as good;
-        # ties go to the smaller id so one member of each cluster survives
+    def _dominated(self, side, x, options):
+        # an option is dropped when another is at least as good for its
+        # player; ties go to the smaller id so one of each cluster survives
+        leq = self.leq
         for other in options:
-            if other != gl and self.leq(gl, other):
-                if not self.leq(other, gl) or other < gl:
-                    return True
-        return False
-
-    def _dominated_right(self, gr, options):
-        for other in options:
-            if other != gr and self.leq(other, gr):
-                if not self.leq(gr, other) or other < gr:
+            if other != x:
+                worse, better = (x, other) if side == 0 else (other, x)
+                if leq(worse, better) and (not leq(better, worse) or other < x):
                     return True
         return False
 
     def remove_dominated(self, g):
         """Drop dominated options from both sides; value is unchanged."""
         left, right = self._nodes[g]
-        kept_left = tuple(gl for gl in left if not self._dominated_left(gl, left))
-        kept_right = tuple(gr for gr in right if not self._dominated_right(gr, right))
+        dominated = self._dominated
+        kept_left = tuple(x for x in left if not dominated(0, x, left))
+        kept_right = tuple(x for x in right if not dominated(1, x, right))
         if kept_left == left and kept_right == right:
             return g
         return self.intern(kept_left, kept_right)
+
+    def _reversible(self, sides, cur):
+        # the first (side, option, reply), Left first, whose reply is at
+        # least as good for the player as cur: <= cur for Left, >= for Right
+        nodes = self._nodes
+        leq = self.leq
+        for side in (0, 1):
+            for x in sides[side]:
+                for reply in nodes[x][1 - side]:
+                    if leq(reply, cur) if side == 0 else leq(cur, reply):
+                        return side, x, reply
+        return None
 
     def bypass_reversible(self, g):
         """Replace reversible options until none remain; value is unchanged.
@@ -262,37 +271,17 @@ class GameStore:
         anchor is re-interned after every replacement because each rewrite
         changes the form while preserving the value.
         """
-        left = list(self._nodes[g][0])
-        right = list(self._nodes[g][1])
+        sides = [list(options) for options in self._nodes[g]]
         while True:
-            cur = self.intern(left, right)
-            replaced = False
-            for gl in left:
-                for glr in self._nodes[gl][1]:
-                    if self.leq(glr, cur):
-                        rest = set(left)
-                        rest.discard(gl)
-                        rest.update(self._nodes[glr][0])
-                        left = sorted(rest)
-                        replaced = True
-                        break
-                if replaced:
-                    break
-            if replaced:
-                continue
-            for gr in right:
-                for grl in self._nodes[gr][0]:
-                    if self.leq(cur, grl):
-                        rest = set(right)
-                        rest.discard(gr)
-                        rest.update(self._nodes[grl][1])
-                        right = sorted(rest)
-                        replaced = True
-                        break
-                if replaced:
-                    break
-            if not replaced:
+            cur = self.intern(*sides)
+            found = self._reversible(sides, cur)
+            if found is None:
                 return cur
+            side, x, reply = found
+            rest = set(sides[side])
+            rest.discard(x)
+            rest.update(self._nodes[reply][side])
+            sides[side] = sorted(rest)
 
     def canonical(self, g):
         """The unique simplest position equal to g.
@@ -342,18 +331,16 @@ class GameStore:
             return memo[c]
         left, right = self._nodes[c]
         value = None
-        if not left:
-            if not right:
+        if not (left and right):
+            # {|} is 0, {n|} is n + 1 for n >= 0 and {|n} is n - 1 for n <= 0
+            options = left or right
+            step = 1 if left else -1
+            if not options:
                 value = (0, 0)
-            elif len(right) == 1:
-                b = self.number_value(right[0])
-                if b is not None and b[1] == 0 and b[0] <= 0:
-                    value = (b[0] - 1, 0)
-        elif not right:
-            if len(left) == 1:
-                a = self.number_value(left[0])
-                if a is not None and a[1] == 0 and a[0] >= 0:
-                    value = (a[0] + 1, 0)
+            elif len(options) == 1:
+                a = self.number_value(options[0])
+                if a is not None and a[1] == 0 and a[0] * step >= 0:
+                    value = (a[0] + step, 0)
         elif len(left) == 1 and len(right) == 1:
             a = self.number_value(left[0])
             if a is not None:
@@ -363,53 +350,31 @@ class GameStore:
         memo[c] = value
         return value
 
-    def left_stop(self, g, integer_system):
-        """Best number Left can steer toward, within the given system.
+    def stop(self, g, side, integer_system):
+        """Best number the player can steer toward, within the given system.
 
-        A member of the system is its own stop; otherwise the best Right
-        stop among Left's options.
+        A member of the system is its own stop; otherwise the best opponent
+        stop among the player's options, the largest for Left.
         """
         v = self.number_value(g)
         if v is not None and (not integer_system or v[1] == 0):
             return v
         key = (g, integer_system)
-        memo = self._left_stops
+        memo = self._stops[side]
         got = memo.get(key)
         if got is not None:
             return got
-        left = self._nodes[g][0]
-        if not left:
+        options = self._nodes[g][side]
+        if not options:
+            player = ("Left", "Right")[side]
             raise MalformedGameError(
-                "left stop undefined: position %d has no Left options and is "
-                "not a member of the system" % g
+                "%s stop undefined: position %d has no %s options and is not "
+                "a member of the system" % (player.lower(), g, player)
             )
         best = None
-        for gl in left:
-            s = self.right_stop(gl, integer_system)
-            if best is None or dy_lt(best, s):
-                best = s
-        memo[key] = best
-        return best
-
-    def right_stop(self, g, integer_system):
-        v = self.number_value(g)
-        if v is not None and (not integer_system or v[1] == 0):
-            return v
-        key = (g, integer_system)
-        memo = self._right_stops
-        got = memo.get(key)
-        if got is not None:
-            return got
-        right = self._nodes[g][1]
-        if not right:
-            raise MalformedGameError(
-                "right stop undefined: position %d has no Right options and "
-                "is not a member of the system" % g
-            )
-        best = None
-        for gr in right:
-            s = self.left_stop(gr, integer_system)
-            if best is None or dy_lt(s, best):
+        for x in options:
+            s = self.stop(x, 1 - side, integer_system)
+            if best is None or (dy_lt(best, s) if side == 0 else dy_lt(s, best)):
                 best = s
         memo[key] = best
         return best

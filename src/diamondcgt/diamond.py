@@ -84,21 +84,20 @@ class GuideOptions:
 def guide_options(engine: Engine, g: int, system: NumberSystem) -> GuideOptions:
     if engine.as_number(g, system) is not None:
         return GuideOptions((), (), system)
-    ls = engine.left_stop(g, system)
-    lefts = engine.left_options(g)
-    chosen_left = tuple(gl for gl in lefts if engine.as_number(gl, system) == ls)
-    if not chosen_left:
-        chosen_left = tuple(
-            gl for gl in lefts if engine.right_stop(gl, system) == ls
-        )
-    rs = engine.right_stop(g, system)
-    rights = engine.right_options(g)
-    chosen_right = tuple(gr for gr in rights if engine.as_number(gr, system) == rs)
-    if not chosen_right:
-        chosen_right = tuple(
-            gr for gr in rights if engine.left_stop(gr, system) == rs
-        )
-    return GuideOptions(chosen_left, chosen_right, system)
+    return GuideOptions(
+        _guides(engine, engine.left_options(g), engine.left_stop(g, system),
+                engine.right_stop, system),
+        _guides(engine, engine.right_options(g), engine.right_stop(g, system),
+                engine.left_stop, system),
+        system,
+    )
+
+
+def _guides(engine: Engine, options, stop: Dyadic, reply_stop, system: NumberSystem):
+    """One side's guides: the options worth exactly ``stop``, else the
+    options whose opponent's stop, ``reply_stop``, equals it."""
+    chosen = tuple(x for x in options if engine.as_number(x, system) == stop)
+    return chosen or tuple(x for x in options if reply_stop(x, system) == stop)
 
 
 @dataclass(frozen=True)
@@ -128,51 +127,43 @@ class PropertyReport:
 
 def has_diamond(engine: Engine, g: int, system: NumberSystem) -> PropertyReport:
     """The general certificate: membership in the system, or a guide pair
-    with some number of the system strictly usable between them."""
+    with some number of the system strictly usable between them; this is
+    ``has_property`` with the system's tag."""
     tag = PropertyName.DIAMOND_Z if system.integers_only else PropertyName.DIAMOND_D
-    member = engine.as_number(g, system)
-    if member is not None:
-        return PropertyReport(True, tag, Witness(member_value=member))
-    guides = guide_options(engine, g, system)
-    exhausted = False
-    for gl in guides.left:
-        for gr in guides.right:
-            try:
-                x = engine.simplest_between((gl,), (gr,), system)
-            except SearchExhaustedError:
-                exhausted = True
-                continue
-            if x is not None:
-                return PropertyReport(
-                    True, tag, Witness(guide_left=gl, guide_right=gr, x=x)
-                )
-    return PropertyReport(False, tag, search_exhausted=exhausted)
+    return has_property(engine, g, tag)
 
 
 def has_property(engine: Engine, g: int, p: PropertyName) -> PropertyReport:
     """Whether ``g`` has property ``p``, with a witness when it does.
 
-    The two system-level tags are ``has_diamond`` in their system; the
-    other tags are the second-move refinements over a guide pair.
+    A member of the property's system holds outright; otherwise the first
+    guide pair with a witness makes it hold.  A pair whose number search
+    gives up counts as no witness and marks the report ``search_exhausted``.
     """
     system = property_system(p)
-    if p is PropertyName.DIAMOND_Z or p is PropertyName.DIAMOND_D:
-        return has_diamond(engine, g, system)
     member = engine.as_number(g, system)
     if member is not None:
         return PropertyReport(True, p, Witness(member_value=member))
     guides = guide_options(engine, g, system)
+    exhausted = False
     for gl in guides.left:
         for gr in guides.right:
-            witness = _second_move_witness(engine, p, gl, gr)
+            try:
+                witness = _pair_witness(engine, p, gl, gr, system)
+            except SearchExhaustedError:
+                exhausted = True
+                continue
             if witness is not None:
                 return PropertyReport(True, p, witness)
-    return PropertyReport(False, p)
+    return PropertyReport(False, p, search_exhausted=exhausted)
 
 
-def _second_move_witness(
-    engine: Engine, p: PropertyName, gl: int, gr: int
+def _pair_witness(
+    engine: Engine, p: PropertyName, gl: int, gr: int, system: NumberSystem
 ) -> Witness | None:
+    if p is PropertyName.DIAMOND_Z or p is PropertyName.DIAMOND_D:
+        x = engine.simplest_between((gl,), (gr,), system)
+        return None if x is None else Witness(guide_left=gl, guide_right=gr, x=x)
     if p is PropertyName.TRIANGLE:
         if engine.compare(gl, gr).less_or_fuzzy:
             return Witness(guide_left=gl, guide_right=gr)
@@ -223,20 +214,20 @@ class ClosedSetPartition:
     members only promise that their options are certified.
     """
 
-    all_positions: frozenset[int]
     certified: frozenset[int]
     plain: frozenset[int]
 
+    @property
+    def all_positions(self) -> frozenset[int]:
+        return self.certified | self.plain
+
     @classmethod
     def total(cls, positions) -> "ClosedSetPartition":
-        members = frozenset(positions)
-        return cls(members, members, frozenset())
+        return cls(frozenset(positions), frozenset())
 
     @classmethod
     def split(cls, certified, plain) -> "ClosedSetPartition":
-        certified = frozenset(certified)
-        plain = frozenset(plain)
-        return cls(certified | plain, certified, plain)
+        return cls(frozenset(certified), frozenset(plain))
 
 
 @dataclass(frozen=True)
@@ -262,8 +253,6 @@ def verify_closed_set(
     The dyadic refinements certify a set only as a whole, so they demand
     an empty plain part; passing one anyway raises ValueError.
     """
-    if part.certified | part.plain != part.all_positions:
-        raise ValueError("partition does not cover the universe")
     if part.certified & part.plain:
         raise ValueError("partition parts overlap")
     if p in _D_FAMILY and part.plain:

@@ -119,10 +119,10 @@ class Engine:
     # -- stops --------------------------------------------------------------
 
     def left_stop(self, g: int, system: NumberSystem) -> Dyadic:
-        return Dyadic.from_pair(self.store.left_stop(g, system.integers_only))
+        return Dyadic.from_pair(self.store.stop(g, 0, system.integers_only))
 
     def right_stop(self, g: int, system: NumberSystem) -> Dyadic:
-        return Dyadic.from_pair(self.store.right_stop(g, system.integers_only))
+        return Dyadic.from_pair(self.store.stop(g, 1, system.integers_only))
 
     # -- simplest-number search ---------------------------------------------
 
@@ -149,12 +149,12 @@ class Engine:
 
         a = None
         for lo in los:
-            s = store.right_stop(lo, integer_system)
+            s = store.stop(lo, 1, integer_system)
             if a is None or _kernel.dy_lt(a, s):
                 a = s
         b = None
         for hi in his:
-            s = store.left_stop(hi, integer_system)
+            s = store.stop(hi, 0, integer_system)
             if b is None or _kernel.dy_lt(s, b):
                 b = s
 

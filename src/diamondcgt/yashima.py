@@ -443,14 +443,17 @@ class SimplicityReport:
     commuting_pairs_checked: int
 
 
-def _sweep_size(max_vertices: int, max_edges: int) -> int:
+def _sweep_size(max_vertices: int, max_edges: int, budget: int) -> int:
+    """Token placements on every multigraph the sweep visits, counted up
+    to the first vertex count whose running total exceeds the budget."""
     total = 0
     for n in range(2, max_vertices + 1):
         pairs = n * (n - 1) // 2
-        graphs = sum(
-            math.comb(pairs + m - 1, m) for m in range(0, max_edges + 1)
-        )
+        # multisets of at most max_edges copies over the vertex pairs
+        graphs = math.comb(pairs + max_edges, max_edges)
         total += graphs * n * (n - 1)
+        if total > budget:
+            break
     return total
 
 
@@ -486,10 +489,10 @@ def verify_bipartite_simplicity(
         raise PreconditionError("max_vertices and max_edges must be nonnegative")
     if max_counterexamples < 1:
         raise PreconditionError("max_counterexamples must be at least 1")
-    upper = _sweep_size(max_vertices, max_edges)
+    upper = _sweep_size(max_vertices, max_edges, state_budget)
     if upper > state_budget:
         raise BoundsTooLargeError(
-            "sweep of %d states exceeds the budget of %d" % (upper, state_budget)
+            "sweep of at least %d states exceeds the budget of %d" % (upper, state_budget)
         )
     successors = _SUCCESSORS[variant]
     intern = engine.intern

@@ -42,6 +42,10 @@ def test_equal_valued_options_keep_smallest_id(engine):
     g = engine.intern((zero, zero_like), (engine.number_position(2),))
     reduced = engine.remove_dominated(g)
     assert engine.left_options(reduced) == (zero,)
+    # the mirror case: {-2 | 0, {-1|1}} keeps only 0 on the Right
+    g = engine.intern((engine.number_position(-2),), (zero, zero_like))
+    reduced = engine.remove_dominated(g)
+    assert engine.right_options(reduced) == (zero,)
 
 
 def test_domination_and_bypass_preserve_value(

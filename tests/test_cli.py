@@ -189,6 +189,11 @@ def test_parse_errors_exit_2(capsys, tmp_path):
     assert err == "error: %s is not UTF-8 text\n" % not_utf8
     code, _, err = _run(capsys, "yashima", "verify", "--state-budget", "5")
     assert code == 2 and "budget" in err
+    # huge bounds are refused by the budget without counting every board
+    for bounds in (("1000000000", "0"), ("5", "100000000")):
+        code, _, err = _run(capsys, "yashima", "verify", "--max-vertices", bounds[0],
+                            "--max-edges", bounds[1])
+        assert code == 2 and "budget" in err
     # one '|' for 1,000 open braces: the second innermost brace lacks its '|'
     code, out, err = _run(capsys, "value", "{" * 1000 + "|" + "}" * 1000)
     assert code == 2 and out == ""

@@ -238,12 +238,9 @@ def test_dyadic_family_demands_total_partition(engine):
 def test_partition_validation(engine):
     zero = engine.zero
     star = engine.star()
-    bad = ClosedSetPartition(
-        all_positions=frozenset({zero, star}),
-        certified=frozenset({zero, star}),
-        plain=frozenset({star}),
-    )
-    with pytest.raises(ValueError):
+    bad = ClosedSetPartition.split(certified={zero, star}, plain={star})
+    assert bad.all_positions == frozenset({zero, star})
+    with pytest.raises(ValueError, match="overlap"):
         verify_closed_set(engine, bad, PropertyName.DIAMOND)
 
 

@@ -56,8 +56,10 @@ def test_equal_positions_share_stops(engine, day3_forms, random_day4_forms):
 def test_stop_bounds_force_strict_order(engine, day3_values, random_day4_forms):
     grid = [Dyadic(n) for n in range(-3, 4)]
     grid += [Dyadic(n, 1) for n in (-3, -1, 1, 3)]
+    eighths = [Dyadic(n, 3) for n in range(-32, 33)]
     rng = random.Random(42)
     suite = list(rng.sample(day3_values, 300)) + list(random_day4_forms[:150])
+    fuzzy_checks = 0
     for g in suite:
         for x in grid:
             xpos = engine.number_position(x)
@@ -68,6 +70,15 @@ def test_stop_bounds_force_strict_order(engine, day3_values, random_day4_forms):
                     assert engine.compare(g, xpos) is Relation.LESS
                 if engine.right_stop(g, system) > x:
                     assert engine.compare(g, xpos) is Relation.GREATER
+        # G >= x forces RS(G) >= x and G <= x forces LS(G) <= x, so every
+        # number strictly between the stops is fuzzy against G; with the
+        # checks above, a stop wrong in either direction fails
+        ls, rs = engine.left_stop(g, D), engine.right_stop(g, D)
+        for x in eighths:
+            if rs < x < ls:
+                fuzzy_checks += 1
+                assert engine.compare(g, engine.number_position(x)) is Relation.FUZZY
+    assert fuzzy_checks > 0
 
 
 def test_simplicity_determines_number_values(engine, day3_forms, random_day4_forms):
