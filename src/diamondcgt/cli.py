@@ -253,6 +253,8 @@ def _run_yashima(args, engine: Engine) -> int:
             "states_checked": report.states_checked,
             "different_color_states": report.different_color_states,
             "commuting_pairs_checked": report.commuting_pairs_checked,
+            "distinct_boards": report.distinct_boards,
+            "distinct_games": report.distinct_games,
         }
         witnesses = [
             {

@@ -16,8 +16,9 @@ count, so boards differing only in trailing isolated vertices share one
 state.  One private successor function per variant turns a compact state
 into its followers without building or re-validating any public object.
 It is the single slide rule: the move descriptors, legality, applying a
-move and the commuting check all read its successor lists, and nothing
-else decides where a token may slide or which edges a slide deletes.
+move, the commuting check and the sweep's slide rows all read its
+successor lists, and nothing else decides where a token may slide or
+which edges a slide deletes.
 The solver memoizes game ids per variant on the compact state.
 ``YashimaSolver.solve_stats`` reads the game id, the tree size and the
 reachable count off one post-order walk.
@@ -26,12 +27,20 @@ The module also houses the exhaustive small-board verifier: on bipartite
 boards every position's value is an integer or a two-integer pair, tokens
 on different color classes force an integer, and in the different-color
 case any Left move and any Right move commute to the same state.  The
-sweep needs no solver walk.  Every move deletes at least one edge copy,
-so a state's successors are placements with fewer edge copies on a
-subgraph, and the sweep order (vertex count, then edge count) has visited
-them already; each state is interned straight from its successors' ids.
-The value laws are decided once per distinct game id, and every state is
-then checked against its game's verdict.
+sweep needs no solver walk and interns boards, not states.  The first
+time it meets an edge tuple it gives it a board id and one slide row per
+vertex, the ``(destination, board id after the slide)`` pairs read once
+from the successor function with the other token parked on a vertex no
+edge touches.  Game ids are kept in one list per board, by token pair.
+Every move deletes at least one edge copy, so a state's successors are
+placements with fewer edge copies on a subgraph, and the sweep order
+(vertex count, then edge count) has visited them already; each state is
+interned from its two filtered rows by list index, with no edge tuple
+built or hashed.  The value laws are decided once per distinct game id,
+and every state is then checked against its game's verdict.  One
+commuting check over ``(destination, board)`` slides serves the sweep,
+which passes its rows, and ``commuting_violation``, which passes edge
+tuples.
 """
 
 from __future__ import annotations
@@ -385,34 +394,40 @@ class YashimaSolver:
         return memo[root]
 
 
-def _commuting_failure(successors, lefts, rights):
-    """First (Left successor, Right successor, reason) that fails to commute.
+def _commuting_failure(moves, lt, rt, lefts, rights):
+    """First (Left slide, Right slide, reason) that fails to commute.
 
-    Right's slide to d is still legal after Left's slide exactly when
-    Left's successor has a Right successor with the right token on d, and
-    the other way round; the two orders agree when they reach one state.
+    A slide is a ``(destination, board after the slide)`` pair, and
+    ``moves(board, token)`` lists every slide of a token on a board that
+    way, in edge order, before the opponent's vertex is ruled out.
+    ``lefts`` and ``rights`` are the two tokens' slides on the state.
+    Right's slide to d is still legal after Left's slide exactly when it
+    is a slide on Left's board that does not end on Left's new vertex,
+    and the other way round.  Both orders leave the tokens on the two
+    destinations, so they agree when they reach one board.
     """
     if not (lefts and rights):
         return None
-    # each Right successor's Left successors, by the left token
-    after_rights = [{s[1]: s for s in successors(sr)[0]} for sr in rights]
-    for sl in lefts:
-        after_left = {s[2]: s for s in successors(sl)[1]}
-        for sr, after_right in zip(rights, after_rights):
-            left_first = after_left.get(sr[2])
+    # each Right slide's Left slides afterwards, by destination
+    after_rights = [{d: b for d, b in moves(br, lt) if d != dr} for dr, br in rights]
+    for left in lefts:
+        dl, bl = left
+        after_left = {d: b for d, b in moves(bl, rt) if d != dl}
+        for right, after_right in zip(rights, after_rights):
+            left_first = after_left.get(right[0])
             if left_first is None:
-                return sl, sr, "right move blocked after left"
-            right_first = after_right.get(sl[1])
+                return left, right, "right move blocked after left"
+            right_first = after_right.get(dl)
             if right_first is None:
-                return sl, sr, "left move blocked after right"
+                return left, right, "left move blocked after right"
             if left_first != right_first:
-                return sl, sr, "orders disagree"
+                return left, right, "orders disagree"
     return None
 
 
 def _move_pair(lt: int, rt: int, failure):
-    sl, sr, reason = failure
-    return Move(_edge(lt, sl[1]), sl[1]), Move(_edge(rt, sr[2]), sr[2]), reason
+    (dl, _), (dr, _), reason = failure
+    return Move(_edge(lt, dl), dl), Move(_edge(rt, dr), dr), reason
 
 
 def commuting_violation(state: YashimaState):
@@ -422,8 +437,16 @@ def commuting_violation(state: YashimaState):
     the two application orders land in different states.
     """
     successors = _SUCCESSORS[state.variant]
-    bad = _commuting_failure(successors, *successors(_compact(state)))
-    return None if bad is None else _move_pair(state.left_token, state.right_token, bad)
+    park = state.graph.vertex_count  # no edge touches it
+
+    def moves(edges, token):
+        return [(s[1], s[0]) for s in successors((edges, token, park))[0]]
+
+    edges, lt, rt = _compact(state)
+    lefts = [s for s in moves(edges, lt) if s[0] != rt]
+    rights = [s for s in moves(edges, rt) if s[0] != lt]
+    bad = _commuting_failure(moves, lt, rt, lefts, rights)
+    return None if bad is None else _move_pair(lt, rt, bad)
 
 
 @dataclass(frozen=True)
@@ -441,6 +464,8 @@ class SimplicityReport:
     states_checked: int
     different_color_states: int
     commuting_pairs_checked: int
+    distinct_boards: int
+    distinct_games: int
 
 
 def _sweep_size(max_vertices: int, max_edges: int, budget: int) -> int:
@@ -478,6 +503,8 @@ def verify_bipartite_simplicity(
     The sweep visits boards by vertex count, then by edge count, and a
     successor always has fewer edge copies, so each state is interned from
     the ids its successors got earlier in the same sweep, with no walk.
+    Those ids are read by list index from per-board slide rows and game
+    lists; the report counts the board ids given and the distinct games.
     The value laws are decided once per game id and every state is checked
     against that verdict: states sharing a game each count, and each one
     that fails is reported with its own state.  The sweep stops once it
@@ -487,6 +514,8 @@ def verify_bipartite_simplicity(
     """
     if max_vertices < 0 or max_edges < 0:
         raise PreconditionError("max_vertices and max_edges must be nonnegative")
+    if state_budget < 0:
+        raise PreconditionError("state_budget must be nonnegative")
     if max_counterexamples < 1:
         raise PreconditionError("max_counterexamples must be at least 1")
     upper = _sweep_size(max_vertices, max_edges, state_budget)
@@ -497,13 +526,21 @@ def verify_bipartite_simplicity(
     successors = _SUCCESSORS[variant]
     intern = engine.intern
     zsys = NumberSystem.Z
-    # Every swept state's game id.  A successor has fewer edge copies than
-    # its state (a slide deletes at least the copy it traverses) on a
-    # subgraph, which is bipartite too.  Its state is therefore swept on
-    # max(endpoint, token) + 1 vertices, at most n, with fewer edges, and
-    # the loops below reach it before the state itself: every successor's
-    # id is here by the time a state is interned.
-    games: dict = {}
+    # No edge touches vertex span, so a token parked there blocks nothing
+    # and the other token's Left successors are exactly its slides.  The
+    # slide rule treats both tokens alike: one row per vertex serves both.
+    span = max(max_vertices, 1)
+    # edge tuple -> board id, given the first time the sweep meets it
+    boards: dict = {}
+    # board id -> per vertex, the (destination, board id after) slides
+    rows: list = []
+    # board id -> game id of each swept placement, at lt * span + rt.  A
+    # slide deletes at least the edge copy it traverses, so a successor
+    # lies on a subgraph (bipartite too) with fewer edge copies.  Its
+    # placement is swept on max(endpoint, token) + 1 vertices, at most n,
+    # with fewer edges, and the loops below reach it before the state
+    # itself: every successor's id is here by the time a state is interned.
+    games: list = []
     # game id -> (value, value in the integer pair set, value an integer)
     verdicts: dict = {}
     counterexamples = []
@@ -511,6 +548,9 @@ def verify_bipartite_simplicity(
     states_checked = 0
     different_color = 0
     commuting_pairs = 0
+
+    def moves(board, token):
+        return rows[board][token]
 
     def report():
         return SimplicityReport(
@@ -520,6 +560,8 @@ def verify_bipartite_simplicity(
             states_checked,
             different_color,
             commuting_pairs,
+            len(boards),
+            len(verdicts),
         )
 
     for n in range(2, max_vertices + 1):
@@ -532,6 +574,16 @@ def verify_bipartite_simplicity(
                 if labels is None:
                     continue
                 graphs_checked += 1
+                board = boards.get(edges)
+                if board is None:
+                    board = boards[edges] = len(rows)
+                    rows.append([
+                        [(s[1], boards[s[0]]) for s in successors((edges, x, span))[0]]
+                        for x in range(span)
+                    ])
+                    games.append([None] * (span * span))
+                row = rows[board]
+                placed = games[board]
                 top = max(v for _, v in edges) if edges else 0
                 for lt in range(n):
                     for rt in range(n):
@@ -541,10 +593,11 @@ def verify_bipartite_simplicity(
                         if lt == rt or max(top, lt, rt) != last:
                             continue
                         states_checked += 1
-                        root = (edges, lt, rt)
-                        lefts, rights = successors(root)
-                        game = games[root] = intern(
-                            [games[s] for s in lefts], [games[s] for s in rights]
+                        lefts = [s for s in row[lt] if s[0] != rt]
+                        rights = [s for s in row[rt] if s[0] != lt]
+                        game = placed[lt * span + rt] = intern(
+                            [games[b][d * span + rt] for d, b in lefts],
+                            [games[b][lt * span + d] for d, b in rights],
                         )
                         verdict = verdicts.get(game)
                         if verdict is None:
@@ -563,7 +616,7 @@ def verify_bipartite_simplicity(
                             if not integer:
                                 found.append(("different_color_not_integer", str(value)))
                             commuting_pairs += len(lefts) * len(rights)
-                            bad = _commuting_failure(successors, lefts, rights)
+                            bad = _commuting_failure(moves, lt, rt, lefts, rights)
                             if bad is not None:
                                 detail = "%r %r %s" % _move_pair(lt, rt, bad)
                                 found.append(("non_commuting", detail))

@@ -51,9 +51,31 @@ def day2_forms(engine, day1_forms):
     )
 
 
+def _structural_order(engine, games):
+    """Games sorted by birthday, then by their sorted options' keys.
+
+    The order reads only the game trees, never intern ids, so it does not
+    depend on which tests interned nodes first, and seeded samples of the
+    universes draw the same positions in every run.
+    """
+    keys: dict = {}
+
+    def key(g):
+        k = keys.get(g)
+        if k is None:
+            k = keys[g] = (
+                engine.birthday(g),
+                tuple(sorted(map(key, engine.left_options(g)))),
+                tuple(sorted(map(key, engine.right_options(g)))),
+            )
+        return k
+
+    return tuple(sorted(games, key=key))
+
+
 @pytest.fixture(scope="session")
 def day2_values(engine, day2_forms):
-    return tuple(sorted({engine.canonical_form(g) for g in day2_forms}))
+    return _structural_order(engine, {engine.canonical_form(g) for g in day2_forms})
 
 
 @pytest.fixture(scope="session")
@@ -89,7 +111,7 @@ def day3_forms(engine, day2_antichains):
 
 @pytest.fixture(scope="session")
 def day3_values(engine, day3_forms):
-    return tuple(sorted({engine.canonical_form(g) for g in day3_forms}))
+    return _structural_order(engine, {engine.canonical_form(g) for g in day3_forms})
 
 
 @pytest.fixture(scope="session")

@@ -95,6 +95,9 @@ def test_gate3_small_board_value_laws(sweeps):
         assert report.graphs_checked == 6104
         assert report.states_checked == 108_120
         assert report.different_color_states == 79_660
+        assert report.distinct_boards == 5406
+    assert sweeps[Variant.YASHIMA][0].distinct_games == 705
+    assert sweeps[Variant.TRON][0].distinct_games == 32
     print(
         "gate 3 PASS: 108120 states per variant, zero value-law counterexamples"
         " (%.1fs + %.1fs)"

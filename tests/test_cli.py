@@ -146,6 +146,8 @@ def test_yashima_verify(capsys):
         "states_checked": 114,
         "different_color_states": 96,
         "commuting_pairs_checked": 0,
+        "distinct_boards": 19,
+        "distinct_games": 16,
     }
     code, out, _ = _run(
         capsys,
@@ -189,6 +191,10 @@ def test_parse_errors_exit_2(capsys, tmp_path):
     assert err == "error: %s is not UTF-8 text\n" % not_utf8
     code, _, err = _run(capsys, "yashima", "verify", "--state-budget", "5")
     assert code == 2 and "budget" in err
+    code, out, err = _run(capsys, "yashima", "verify", "--max-vertices", "3",
+                          "--max-edges", "3", "--state-budget", "-1")
+    assert code == 2 and out == ""
+    assert err == "error: state_budget must be nonnegative\n"
     # huge bounds are refused by the budget without counting every board
     for bounds in (("1000000000", "0"), ("5", "100000000")):
         code, _, err = _run(capsys, "yashima", "verify", "--max-vertices", bounds[0],

@@ -13,6 +13,7 @@ from diamondcgt.engine import Engine
 from diamondcgt.errors import BoundsTooLargeError, InvalidStateError, PreconditionError
 from diamondcgt.notation import format_value
 from diamondcgt.values import Dyadic, NumberSystem, ValueKind
+from diamondcgt import yashima
 from diamondcgt.yashima import (
     ColorClass,
     Move,
@@ -296,6 +297,8 @@ def test_small_sweep_regression(engine):
     assert report.states_checked == 114
     assert report.different_color_states == 96
     assert report.commuting_pairs_checked == 0
+    assert report.distinct_boards == 19
+    assert report.distinct_games == 16
 
 
 def test_sweep_checks_pair_values(engine):
@@ -312,8 +315,13 @@ def test_sweep_budget(engine):
 
 @pytest.mark.parametrize(
     "bounds",
-    [{"max_vertices": -3}, {"max_edges": -1}, {"max_counterexamples": 0}],
-    ids=["vertices", "edges", "counterexamples"],
+    [
+        {"max_vertices": -3},
+        {"max_edges": -1},
+        {"state_budget": -1},
+        {"max_counterexamples": 0},
+    ],
+    ids=["vertices", "edges", "state_budget", "counterexamples"],
 )
 def test_sweep_rejects_negative_bounds(engine, bounds):
     with pytest.raises(PreconditionError):
@@ -343,6 +351,26 @@ def test_sweep_interns_exactly_the_solvers_games(variant):
     assert engine.node_count() == nodes
     for game in games:
         assert engine.classify_value(game).in_pair_set(NumberSystem.Z)
+
+
+@pytest.mark.parametrize("variant", [Variant.YASHIMA, Variant.TRON])
+def test_sweep_commuting_check_matches_commuting_violation(monkeypatch, variant):
+    # same-color placements too, where moves do block
+    monkeypatch.setattr(yashima, "_different_color", lambda labels, lt, rt: True)
+    report = verify_bipartite_simplicity(
+        Engine(), 4, 4, variant, max_counterexamples=10**6
+    )
+    swept = [
+        (c.state.key(), c.detail)
+        for c in report.counterexamples
+        if c.kind == "non_commuting"
+    ]
+    expected = [
+        (s.key(), "%r %r %s" % bad)
+        for s in _small_bipartite_states(4, 4, variant)
+        if (bad := commuting_violation(s)) is not None
+    ]
+    assert expected and swept == expected
 
 
 def test_sweep_reports_every_failing_state(failing_laws):
