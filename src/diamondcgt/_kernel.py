@@ -68,19 +68,22 @@ def dy_ceil(a):
     return -((-a[0]) >> a[1])
 
 
-def simplest_in_open_interval(a, b):
-    """Simplest dyadic strictly between a and b (requires a < b).
+def simplest_in_open_interval(a, b, integers_only=False):
+    """Simplest dyadic strictly between a and b, or None when there is none.
 
-    Simplest means fewest halvings first, then smallest magnitude, with the
-    positive sign preferred on magnitude ties (only reachable for integers
-    through the zero-in-range case).
+    A bound of None is infinite.  With ``integers_only`` only integers
+    count.  Simplest means fewest halvings first, then smallest magnitude,
+    with the positive sign preferred on magnitude ties (only reachable for
+    integers through the zero-in-range case).
     """
-    lo = dy_floor(a) + 1
-    hi = dy_ceil(b) - 1
-    if lo <= hi:
-        if lo <= 0 <= hi:
+    lo = None if a is None else dy_floor(a) + 1
+    hi = None if b is None else dy_ceil(b) - 1
+    if lo is None or hi is None or lo <= hi:
+        if (lo is None or lo <= 0) and (hi is None or hi >= 0):
             return 0, 0
-        return (lo, 0) if lo > 0 else (hi, 0)
+        return (lo, 0) if lo is not None and lo > 0 else (hi, 0)
+    if integers_only or not dy_lt(a, b):
+        return None
     an, ae = a
     bn, be = b
     d = 1

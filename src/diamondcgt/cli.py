@@ -221,8 +221,6 @@ def _run_expr_command(args, engine: Engine) -> int:
         lines = ["holds" if report.holds else "fails"]
         if report.witness:
             lines.extend(_witness_lines(engine, report.witness))
-        if report.search_exhausted:
-            lines.append("search-exhausted")
         _emit(
             args.json,
             "diamond",

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 from .engine import Engine
-from .errors import NotClosedError, PreconditionError, SearchExhaustedError
+from .errors import NotClosedError, PreconditionError
 from .values import Dyadic, NumberSystem
 
 
@@ -122,7 +122,6 @@ class PropertyReport:
     holds: bool
     property: PropertyName
     witness: Witness | None = None
-    search_exhausted: bool = False
 
 
 def has_diamond(engine: Engine, g: int, system: NumberSystem) -> PropertyReport:
@@ -137,25 +136,19 @@ def has_property(engine: Engine, g: int, p: PropertyName) -> PropertyReport:
     """Whether ``g`` has property ``p``, with a witness when it does.
 
     A member of the property's system holds outright; otherwise the first
-    guide pair with a witness makes it hold.  A pair whose number search
-    gives up counts as no witness and marks the report ``search_exhausted``.
+    guide pair with a witness makes it hold.
     """
     system = property_system(p)
     member = engine.as_number(g, system)
     if member is not None:
         return PropertyReport(True, p, Witness(member_value=member))
     guides = guide_options(engine, g, system)
-    exhausted = False
     for gl in guides.left:
         for gr in guides.right:
-            try:
-                witness = _pair_witness(engine, p, gl, gr, system)
-            except SearchExhaustedError:
-                exhausted = True
-                continue
+            witness = _pair_witness(engine, p, gl, gr, system)
             if witness is not None:
                 return PropertyReport(True, p, witness)
-    return PropertyReport(False, p, search_exhausted=exhausted)
+    return PropertyReport(False, p)
 
 
 def _pair_witness(

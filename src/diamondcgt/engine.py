@@ -2,9 +2,10 @@
 
 An Engine owns one GameStore and exposes the whole position algebra with
 the package's value types: interning, the partial order, outcomes,
-canonical forms, number decoding, stops, and the simplest-number search
-used by the certificate machinery.  Positions are plain ints; every method
-taking a position expects an id previously returned by this engine.
+canonical forms, number decoding, stops, and the simplest number between
+bounds used by the certificate machinery.  Positions are plain ints;
+every method taking a position expects an id previously returned by this
+engine.
 """
 
 from __future__ import annotations
@@ -12,16 +13,12 @@ from __future__ import annotations
 from typing import Iterable
 
 from . import _kernel
-from .errors import SearchExhaustedError
 from .kernel import KERNEL_BACKEND
 from .values import Dyadic, NumberSystem, Outcome, Relation, ValueClass
 
 # indexed by the kernel's REL_* and OUT_* codes
 _REL = (Relation.LESS, Relation.GREATER, Relation.EQUAL, Relation.FUZZY)
 _OUT = (Outcome.LEFT_WINS, Outcome.RIGHT_WINS, Outcome.PREVIOUS_WINS, Outcome.NEXT_WINS)
-
-# hard safety rail for the dyadic phase of simplest_between
-MAX_DENOMINATOR_EXPONENT = 32
 
 
 class Engine:
@@ -124,7 +121,7 @@ class Engine:
     def right_stop(self, g: int, system: NumberSystem) -> Dyadic:
         return Dyadic.from_pair(self.store.stop(g, 1, system.integers_only))
 
-    # -- simplest-number search ---------------------------------------------
+    # -- simplest number between bounds ------------------------------------
 
     def simplest_between(
         self,
@@ -135,18 +132,22 @@ class Engine:
         """Simplest number x in the system with lo <|| x <|| hi for all bounds.
 
         ``lo <|| x`` means lo is less than or fuzzy against x, i.e. not
-        x <= lo.  The search walks candidates in simplicity order: integers
-        by magnitude with the positive one first, then dyadics by growing
-        denominator.  Stops of the bounding positions confine any witness,
-        which is what makes a None answer a proof of absence rather than a
-        timeout; the bounds only guard pathological callers and trip
-        SearchExhaustedError when hit.
+        x <= lo.  Let a be the largest right stop of the lower bounds and
+        b the smallest left stop of the upper bounds, both taken in the
+        system.  Two stop laws hold for every number x of the system and
+        game g: x > RS(g) rules out x <= g, and x < LS(g) rules out
+        g <= x.  So every x strictly between a and b fits.  Their strict
+        counterparts, x < RS(g) forces x < g and x > LS(g) forces x > g,
+        say that nothing outside [a, b] fits.  The answer is therefore the
+        simplest member of the open interval (a, b), unless an endpoint
+        is simpler and passes the exact check; an endpoint is a stop, so
+        it is a member of the system.  Simpler means fewer halvings, then
+        smaller magnitude, then positive.
         """
         los = tuple(lo_set)
         his = tuple(hi_set)
         store = self.store
         integer_system = system.integers_only
-
         a = None
         for lo in los:
             s = store.stop(lo, 1, integer_system)
@@ -157,52 +158,17 @@ class Engine:
             s = store.stop(hi, 0, integer_system)
             if b is None or _kernel.dy_lt(s, b):
                 b = s
-
-        stop_bound = 0
-        for s in (a, b):
-            if s is not None:
-                stop_bound = max(stop_bound, abs(_kernel.dy_floor(s)) + 1)
-        max_abs = stop_bound + 2
-
-        lo_int = _kernel.dy_ceil(a) if a is not None else -max_abs
-        hi_int = _kernel.dy_floor(b) if b is not None else max_abs
-
-        for n in _integers_by_simplicity(lo_int, hi_int):
-            x = store.number_position(n, 0)
-            if self._fits(los, his, x):
-                return Dyadic(n)
-
-        if a is None or b is None:
-            # a missing bound admits arbitrarily large witnesses, and the
-            # stop argument says one must exist near the other bound, so
-            # reaching this line means the rail was set too tight
-            raise SearchExhaustedError(
-                "no integer witness within magnitude %d" % max_abs
-            )
-        if integer_system or _kernel.dy_lt(b, a):
+        if a is not None and b is not None and _kernel.dy_lt(b, a):
+            # every number is below a lower bound or above an upper one
             return None
-
-        # witnesses are confined to [a, b]; past the interval's own
-        # granularity plus one, a strictly interior dyadic would already
-        # have been found, so the scan is complete
-        deepest = max(a[1], b[1]) + 1
-        for d in range(1, deepest + 1):
-            if d > MAX_DENOMINATOR_EXPONENT:
-                raise SearchExhaustedError(
-                    "no dyadic witness with denominator up to 2**%d"
-                    % MAX_DENOMINATOR_EXPONENT
-                )
-            an, ae = a
-            bn, be = b
-            n_lo = (an << (d - ae)) if d >= ae else -((-an) >> (ae - d))
-            n_hi = (bn << (d - be)) if d >= be else (bn >> (be - d))
-            for n in _integers_by_simplicity(n_lo, n_hi):
-                if n % 2 == 0:
-                    continue
-                x = store.number_position(n, d)
-                if self._fits(los, his, x):
-                    return Dyadic(n, d)
-        return None
+        best = _kernel.simplest_in_open_interval(a, b, integer_system)
+        for s in sorted({a, b} - {None}, key=_simplicity):
+            if best is not None and _simplicity(best) < _simplicity(s):
+                break
+            if self._fits(los, his, store.number_position(*s)):
+                best = s
+                break
+        return None if best is None else Dyadic.from_pair(best)
 
     def _fits(self, los: tuple[int, ...], his: tuple[int, ...], x: int) -> bool:
         store = self.store
@@ -215,18 +181,7 @@ class Engine:
         return True
 
 
-def _integers_by_simplicity(lo: int, hi: int):
-    """Integers of [lo, hi] ordered by magnitude, positive before negative."""
-    if lo > hi:
-        return
-    if lo > 0:
-        yield from range(lo, hi + 1)
-    elif hi < 0:
-        yield from range(hi, lo - 1, -1)
-    else:
-        yield 0
-        for m in range(1, max(-lo, hi) + 1):
-            if m <= hi:
-                yield m
-            if -m >= lo:
-                yield -m
+def _simplicity(pair: tuple[int, int]) -> tuple[int, int, bool]:
+    """Sort key of a dyadic pair: fewer halvings, smaller magnitude, positive."""
+    num, exp = pair
+    return exp, abs(num), num < 0

@@ -45,10 +45,6 @@ class InvalidStateError(DiamondCgtError):
     """A game state on a graph violates token constraints."""
 
 
-class SearchExhaustedError(DiamondCgtError):
-    """A number search hit its safety bound before reaching a verdict."""
-
-
 class PreconditionError(DiamondCgtError):
     """An operation was called on arguments outside its stated domain."""
 

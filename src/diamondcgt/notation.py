@@ -15,8 +15,9 @@ stack rather than recursing.  Numerals go straight to the store's
 canonical number trees and braces are interned the moment they close.
 The formatters render positions back out.
 ``format_value`` compacts number-valued nodes to numerals and ``{0|0}``
-to ``*``; canonical strings round-trip through the parser to the
-identical position.
+to ``*``, and every option list prints sorted by the options' text, so
+equal games print alike in any engine; canonical strings round-trip
+through the parser to the identical position.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ import re
 
 from .engine import Engine
 from .errors import GameParseError, NonDyadicDenominatorError
+from .values import Dyadic
 
 _BAD_CHARACTER = re.compile(r"[^\s\d{}|,*/-]")
 _TOKEN = re.compile(r"\d+|\S")
@@ -164,17 +166,40 @@ def parse_position(engine: Engine, text: str) -> int:
 
 
 def _render(engine: Engine, g: int, braces_at_top: bool) -> str:
-    if not braces_at_top:
-        number = engine.as_number(g)
-        if number is not None and engine.number_position(number) == g:
-            return str(number)
-        if g == engine.star():
-            return "*"
-    left = ",".join(_render(engine, o, False) for o in engine.left_options(g))
-    right = ",".join(
-        _render(engine, o, False) for o in engine.right_options(g)
-    )
-    return "{%s|%s}" % (left, right)
+    """The text of ``g``; each option list is sorted by the options' text.
+
+    Nodes are rendered bottom-up on an explicit stack, each once per call,
+    so a shared subtree costs one rendering and the printer never recurses.
+    Sorting by text rather than by id makes the string a function of the
+    tree alone, whatever was interned first.
+    """
+    store = engine.store
+    star = engine.star()
+    text: dict[int, str] = {}
+    stack = [g]  # ~h marks a node whose options are all rendered
+    while stack:
+        h = stack.pop()
+        if h < 0:
+            left, right = store.node(~h)
+            text[~h] = "{%s|%s}" % (
+                ",".join(sorted([text[o] for o in left])),
+                ",".join(sorted([text[o] for o in right])),
+            )
+            continue
+        if h in text:
+            continue
+        if h != g or not braces_at_top:
+            if h == star:
+                text[h] = "*"
+                continue
+            number = store.number_value(h)
+            if number is not None and store.number_position(*number) == h:
+                text[h] = str(Dyadic.from_pair(number))
+                continue
+        left, right = store.node(h)
+        stack.append(~h)
+        stack += [o for o in left + right if o not in text]
+    return text[g]
 
 
 def format_position(engine: Engine, g: int) -> str:

@@ -10,10 +10,10 @@ import pytest
 from diamondcgt import cli
 from diamondcgt.cli import main
 from diamondcgt.errors import (
+    BoundsTooLargeError,
     MalformedGameError,
     NotClosedError,
     PreconditionError,
-    SearchExhaustedError,
 )
 
 GRAPHS = Path(__file__).resolve().parent.parent / "graphs"
@@ -63,6 +63,9 @@ def test_canonical(capsys):
     assert code == 0 and out == "{0|0}\n"
     code, out, _ = _run(capsys, "canonical", "2")
     assert out == "{1|}\n"
+    # one value, one text, whichever option the input lists first
+    for text in ("{*,{0|*}|{0|-1},{*|0}}", "{{0|*},*|{*|0},{0|-1}}"):
+        assert _run(capsys, "canonical", text) == (0, "{*,{0|*}|{*|0},{0|-1}}\n", "")
 
 
 def test_compare(capsys):
@@ -104,8 +107,24 @@ def test_diamond_witness_details(capsys):
     assert code == 0
     (witness,) = payload["witnesses"]
     assert witness["guide_left"] == "*"
-    assert witness["guide_right"] == "{0,*|0}"
+    assert witness["guide_right"] == "{*,0|0}"
     assert witness["x"] == "0"
+
+
+def test_diamond_witness_past_32_halvings(capsys):
+    y = "1/8589934592"  # 2**-33
+    y_star = "{%s|%s}" % (y, y)
+    text = "{%s|%s,{%s|0}}" % (y_star, y_star, y_star)
+    code, out, _ = _run(capsys, "diamond", "--property", "dd", text)
+    assert code == 0
+    assert out.splitlines() == [
+        "holds", "guide-left " + y_star, "guide-right " + y_star, "x " + y,
+    ]
+    # y* alone has the number guides y and y, with nothing between them
+    code, out, _ = _run(
+        capsys, "diamond", "--property", "dd", "{1/4294967296|1/4294967296}"
+    )
+    assert (code, out) == (1, "fails\n")
 
 
 def test_yashima_value(capsys):
@@ -241,7 +260,7 @@ def test_too_deep_inputs_exit_2(capsys, argv):
 
 @pytest.mark.parametrize(
     "error",
-    [SearchExhaustedError, MalformedGameError, PreconditionError, NotClosedError],
+    [BoundsTooLargeError, MalformedGameError, PreconditionError, NotClosedError],
 )
 def test_every_package_error_exits_2(capsys, monkeypatch, error):
     def fail(engine, expr):

@@ -156,6 +156,84 @@ def test_format_is_tree_faithful(engine):
     assert format_value(engine, pseudo) == "0"
 
 
+def _random_form_specs(rng):
+    """Day-1 to day-4 forms as (left, right) index tuples into the list."""
+    specs = [((), ())]
+    specs += [((0,), ()), ((), (0,)), ((0,), (0,))]
+    layers = [range(4)]
+    for count in (60, 120, 200):
+        pool = [i for layer in layers for i in layer]
+        start = len(specs)
+        for _ in range(count):
+            specs.append(
+                (
+                    tuple(rng.sample(pool, rng.randint(0, 3))),
+                    tuple(rng.sample(pool, rng.randint(0, 3))),
+                )
+            )
+        layers.append(range(start, len(specs)))
+    return specs
+
+
+def _intern_specs(engine, specs, order, rng):
+    """Intern every spec, visiting them in ``order`` and shuffling options."""
+    ids: dict[int, int] = {}
+
+    def build(i):
+        got = ids.get(i)
+        if got is None:
+            left, right = ([build(j) for j in side] for side in specs[i])
+            rng.shuffle(left)
+            rng.shuffle(right)
+            got = ids[i] = engine.intern(left, right)
+        return got
+
+    for i in order:
+        build(i)
+    return ids
+
+
+def test_canonical_text_is_independent_of_intern_order():
+    rng = random.Random(62)
+    specs = _random_form_specs(rng)
+    orders = [list(range(len(specs))) for _ in range(2)]
+    for order in orders:
+        rng.shuffle(order)
+    engines = (Engine(), Engine())
+    # numbers interned up front shift every later id of the second engine
+    for d in (Dyadic(3, 2), Dyadic(-5, 3), Dyadic(7)):
+        engines[1].number_position(d)
+    ids = [_intern_specs(e, specs, order, rng) for e, order in zip(engines, orders)]
+    # each engine canonicalizes in its own order, so the canonical forms'
+    # ids come out in different orders too
+    canon = [
+        {i: e.canonical_form(got[i]) for i in order}
+        for e, got, order in zip(engines, ids, orders)
+    ]
+    every = range(len(specs))
+    assert any(
+        (canon[0][i] < canon[0][j]) != (canon[1][i] < canon[1][j])
+        for i in every
+        for j in every
+        if canon[0][i] != canon[0][j]
+    )
+    for i in every:
+        text = format_canonical(engines[0], ids[0][i])
+        assert format_canonical(engines[1], ids[1][i]) == text
+        assert format_value(engines[1], ids[1][i]) == format_value(
+            engines[0], ids[0][i]
+        )
+        assert parse_position(engines[0], text) == canon[0][i]
+
+
+def test_equal_games_print_one_canonical_text(engine):
+    texts = {
+        format_canonical(engine, parse_position(engine, t))
+        for t in ("{*,{0|*}|{0|-1},{*|0}}", "{{0|*},*|{*|0},{0|-1}}")
+    }
+    assert texts == {"{*,{0|*}|{*|0},{0|-1}}"}
+
+
 def test_round_trip_day3(engine, day3_values):
     rng = random.Random(61)
     for g in rng.sample(day3_values, 300):

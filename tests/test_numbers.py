@@ -151,6 +151,16 @@ def test_simplest_in_open_interval_examples():
     assert simplest((0, 0), (3, 0)) == (1, 0)
     assert simplest((1, 2), (3, 3)) == (5, 4)
     assert simplest((-5, 1), (-1, 0)) == (-2, 0)
+    # a missing bound is infinite
+    assert simplest(None, None) == (0, 0)
+    assert simplest(None, (-5, 1)) == (-3, 0)
+    assert simplest((3, 0), None) == (4, 0)
+    assert simplest(None, (1, 2)) == (0, 0)
+    # an empty interval, or one holding no integer when only integers count
+    assert simplest((1, 0), (1, 0)) is None
+    assert simplest((3, 1), (1, 1)) is None
+    assert simplest((0, 0), (1, 0), True) is None
+    assert simplest((1, 1), (5, 1), True) == (1, 0)
 
 
 def test_simplest_between_examples(engine):
@@ -195,26 +205,54 @@ def test_simplest_between_result_always_fits(engine, day2_values, system):
             assert engine.compare(xpos, hi).less_or_fuzzy
 
 
-def _integers_by_simplicity_reference(lo, hi):
-    """Reference order: scan every magnitude up to the larger endpoint's."""
-    if lo > hi:
-        return
-    top = max(abs(lo), abs(hi))
-    if lo <= 0 <= hi:
-        yield 0
-    for m in range(1, top + 1):
-        if lo <= m <= hi:
-            yield m
-        if lo <= -m <= hi:
-            yield -m
+def _referee_simplest(engine, los, his, system):
+    """The simplest fitting member by brute force, checked with compare.
+
+    Scans every member of the system from 2 below the smallest stop of
+    any bound to 2 above the largest, 0 always inside the window, with
+    denominators up to 2**(largest stop exponent + 2), simplest first.
+    """
+    stops = [Dyadic(0)]
+    for g in los + his:
+        stops += [engine.left_stop(g, system), engine.right_stop(g, system)]
+    smallest, largest = min(stops), max(stops)
+    low = (smallest.numerator >> smallest.exponent) - 2
+    high = -(-largest.numerator >> largest.exponent) + 2
+    depth = 0 if system.integers_only else max(s.exponent for s in stops) + 2
+    candidates = [
+        Dyadic(n, e)
+        for e in range(depth + 1)
+        for n in range(low << e, (high << e) + 1)
+        if e == 0 or n % 2
+    ]
+    candidates.sort(key=lambda x: (x.exponent, abs(x.numerator), x.numerator < 0))
+    for x in candidates:
+        xpos = engine.number_position(x)
+        if all(engine.compare(lo, xpos).less_or_fuzzy for lo in los) and all(
+            engine.compare(xpos, hi).less_or_fuzzy for hi in his
+        ):
+            return x
+    return None
 
 
-@pytest.mark.parametrize(
-    "lo, hi", [(-3, 4), (16000, 16032), (-16032, -16000), (5, 4), (0, 0), (-7, -1), (-2, 9)]
-)
-def test_integers_by_simplicity_matches_the_full_scan(lo, hi):
-    from diamondcgt.engine import _integers_by_simplicity
+@pytest.mark.parametrize("system", [Z, D])
+def test_simplest_between_matches_the_referee(
+    engine, day2_values, day3_values, system
+):
+    rng = random.Random(33)
+    pool = list(day2_values) + rng.sample(day3_values, 80)
+    for _ in range(300):
+        los = tuple(rng.sample(pool, rng.randint(0, 3)))
+        his = tuple(rng.sample(pool, rng.randint(0, 3)))
+        expected = _referee_simplest(engine, los, his, system)
+        assert engine.simplest_between(los, his, system) == expected, (los, his)
 
-    assert list(_integers_by_simplicity(lo, hi)) == list(
-        _integers_by_simplicity_reference(lo, hi)
-    )
+
+def test_simplest_between_answers_past_32_halvings(engine):
+    # y* against itself: no number lies strictly between its stops, and
+    # the endpoint y itself is fuzzy with y*, so y is the answer
+    y = engine.number_position(Dyadic(1, 33))
+    y_star = engine.intern((y,), (y,))
+    assert engine.simplest_between((y_star,), (y_star,), D) == Dyadic(1, 33)
+    assert engine.simplest_between((y_star,), (y_star,), Z) is None
+    assert engine.simplest_between((y,), (y,), D) is None

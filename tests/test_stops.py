@@ -57,6 +57,7 @@ def test_stop_bounds_force_strict_order(engine, day3_values, random_day4_forms):
     grid = [Dyadic(n) for n in range(-3, 4)]
     grid += [Dyadic(n, 1) for n in (-3, -1, 1, 3)]
     eighths = [Dyadic(n, 3) for n in range(-32, 33)]
+    integers = [Dyadic(n) for n in range(-6, 7)]
     rng = random.Random(42)
     suite = list(rng.sample(day3_values, 300)) + list(random_day4_forms[:150])
     fuzzy_checks = 0
@@ -70,9 +71,19 @@ def test_stop_bounds_force_strict_order(engine, day3_values, random_day4_forms):
                     assert engine.compare(g, xpos) is Relation.LESS
                 if engine.right_stop(g, system) > x:
                     assert engine.compare(g, xpos) is Relation.GREATER
-        # G >= x forces RS(G) >= x and G <= x forces LS(G) <= x, so every
-        # number strictly between the stops is fuzzy against G; with the
-        # checks above, a stop wrong in either direction fails
+        # G >= x forces RS(G) >= x and G <= x forces LS(G) <= x, in either
+        # system, so x > RS(G) rules out x <= G and x < LS(G) rules out
+        # G <= x; simplest_between rests on these two laws
+        for system, numbers in ((Z, integers), (D, eighths)):
+            ls, rs = engine.left_stop(g, system), engine.right_stop(g, system)
+            for x in numbers:
+                xpos = engine.number_position(x)
+                if x > rs:
+                    assert not engine.leq(xpos, g)
+                if x < ls:
+                    assert not engine.leq(g, xpos)
+        # so every number strictly between the stops is fuzzy against G;
+        # with the checks above, a stop wrong in either direction fails
         ls, rs = engine.left_stop(g, D), engine.right_stop(g, D)
         for x in eighths:
             if rs < x < ls:
