@@ -9,17 +9,23 @@ label).  Under normal play the player without a move loses.
 
 The public types (``MultiGraph``, ``YashimaState``, ``Move``) validate
 their arguments and are the boundary for outside input, together with
-``graphio``.  Inside, the solver and the sweep work on a compact state:
-the plain tuple ``(edges, left_token, right_token)``, where ``edges`` is
-the sorted tuple of ``(min, max)`` endpoint pairs.  It holds no vertex
-count, so boards differing only in trailing isolated vertices share one
-state.  One private successor function per variant turns a compact state
-into its followers without building or re-validating any public object.
-It is the single slide rule: the move descriptors, legality, applying a
-move, the commuting check and the sweep's slide rows all read its
-successor lists, and nothing else decides where a token may slide or
-which edges a slide deletes.
-The solver memoizes game ids per variant on the compact state.
+``graphio``.  Inside, the solver and the sweep work on a packed state: one
+int, ``mask << 2S | left_token << S | right_token``.  A numbering gives
+each edge copy one bit of ``mask``, the copies of one vertex pair on
+consecutive bits, and ``S`` is wide enough for the highest edge endpoint
+and both tokens.  It holds no vertex count, so boards that differ only in
+trailing isolated vertices share one state.  One private function,
+``_successors``, turns a packed state into its followers with a few bit
+operations, without building or re-validating any public object.  It is
+the single slide rule, and its only switch is the variant's deletion: the
+edge-removal slide clears the highest present copy of the slid pair, the
+vertex-removal slide every copy at the departed vertex.  The move
+descriptors, legality, applying a move, the commuting check and the
+sweep's slide rows all read it, and nothing else decides where a token may
+slide or which edges a slide deletes.  The solver numbers each root's edge
+tuple (copy i is bit i) and memoizes game ids per ``(variant, edge tuple,
+S)``, so roots on other edges redo the walk while the engine's
+hash-consing still gives them the same game ids.
 ``YashimaSolver.solve_stats`` reads the game id, the tree size and the
 reachable count off one post-order walk.
 
@@ -27,29 +33,33 @@ The module also houses the exhaustive small-board verifier: on bipartite
 boards every position's value is an integer or a two-integer pair, tokens
 on different color classes force an integer, and in the different-color
 case any Left move and any Right move commute to the same state.  The
-sweep needs no solver walk and interns boards, not states.  The first
-time it meets an edge tuple it gives it a board id and one slide row per
-vertex, the ``(destination, board id after the slide)`` pairs read once
-from the successor function with the other token parked on a vertex no
-edge touches.  Game ids are kept in one list per board, by token pair.
-Every move deletes at least one edge copy, so a state's successors are
-placements with fewer edge copies on a subgraph, and the sweep order
-(vertex count, then edge count) has visited them already; each state is
-interned from its two filtered rows by list index, with no edge tuple
-built or hashed.  The value laws are decided once per distinct game id,
-and every state is then checked against its game's verdict.  One
-commuting check over ``(destination, board)`` slides serves the sweep,
-which passes its rows, and ``commuting_violation``, which passes edge
-tuples.
+sweep needs no solver walk and interns boards, not states.  It numbers its
+whole universe once, ``max_edges`` bits for each vertex pair, so a board
+is its mask, and it builds each bipartite board from one with a copy
+fewer, carrying the mask along.  The first time it meets a mask it gives
+it a board id and one slide row per vertex, the ``(destination, board id
+after the slide)`` pairs read once from the slide rule with the other
+token parked on a vertex no edge touches.  Game ids are kept in one list
+per board, by token pair.  Every move deletes at least one edge copy, so a
+state's successors are placements with fewer edge copies on a subgraph,
+and the sweep order (vertex count, then edge count) has visited them
+already; each state is interned from its two filtered rows by list index,
+with no edge tuple built or hashed.  The value laws are decided once per
+distinct game id, and every state is then checked against its game's
+verdict.  One commuting check over ``(destination, board)`` slides serves
+the sweep, which passes its rows, and ``commuting_violation``, which
+passes masks of the state's own numbering.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from itertools import chain, filterfalse
+from collections import defaultdict
 from dataclasses import dataclass
 from enum import Enum
+from itertools import chain, filterfalse
+from typing import NamedTuple
 
 from .engine import Engine
 from .errors import BoundsTooLargeError, InvalidStateError, PreconditionError
@@ -138,77 +148,83 @@ class Move:
     destination: int
 
 
-# --- the compact state ----------------------------------------------------
+# --- the packed state ----------------------------------------------------
 #
-# The two successor functions below are the only code that decides where a
-# token may slide and which edge copies the slide deletes.  Edges are
-# sorted, so the copies of one pair are adjacent and a scan skips every
-# copy after the first: parallel copies lead to the same state.
+# A pair's present copies always fill its block of consecutive bits from
+# the lowest, so equal masks are equal edge multisets.  S also leaves the
+# vertex 2**S - 1 free of edges and tokens: it parks a token that must
+# block nothing.
 
 
-def _yashima_successors(state):
-    """Left and right successor states: the slide deletes one edge copy.
+class _Rule(NamedTuple):
+    """The tables ``_successors`` reads, built once per numbering."""
 
-    One scan serves both tokens.  An edge holds both tokens only when it
-    joins them, and then neither token may slide along it.
+    shift: int  # S, the width of a token field
+    adjacent: dict  # vertex -> [(pair block << 2S, neighbour)], in pair order
+    incident: dict  # vertex -> the blocks of every pair at it, << 2S
+    tron: bool
+
+
+def _rule(variant: Variant, blocks: dict, shift: int) -> _Rule:
+    """The rule for a numbering: ``blocks`` maps each vertex pair, in
+    sorted order, to the mask of its copies' bits.  The tables default to
+    empty, so a token on a vertex no edge touches, however high, has no
+    slides, and no table is sized by the vertex count."""
+    adjacent = defaultdict(list)
+    incident = defaultdict(int)
+    for (u, v), block in blocks.items():
+        block <<= 2 * shift
+        adjacent[u].append((block, v))
+        adjacent[v].append((block, u))
+        incident[u] |= block
+        incident[v] |= block
+    return _Rule(shift, adjacent, incident, variant is Variant.TRON)
+
+
+def _successors(state: int, rule: _Rule) -> list:
+    """Left and right successors of a packed state, each in pair order.
+
+    A token slides along any present pair at its vertex unless the pair
+    ends on the other token; parallel copies lead to one successor.  The
+    variant's deletion is the only switch: the edge-removal slide clears
+    the highest present copy of its pair, the vertex-removal slide every
+    copy at the departed vertex.
     """
-    edges, lt, rt = state
-    lefts = []
-    rights = []
-    prev = None
+    shift, adjacent, incident, tron = rule
+    low = (1 << shift) - 1
+    lt = state >> shift & low
+    rt = state & low
+    out = []
+    for token, other, at in ((lt, rt, shift), (rt, lt, 0)):
+        slides = []
+        for block, dest in adjacent[token]:
+            copies = state & block
+            if copies and dest != other:
+                if tron:
+                    gone = state & incident[token]
+                else:
+                    gone = 1 << (copies.bit_length() - 1)
+                slides.append(state ^ gone ^ ((token ^ dest) << at))
+        out.append(slides)
+    return out
+
+
+def _edge_rule(variant: Variant, edges: tuple, shift: int) -> _Rule:
+    """The rule for the numbering that gives copy i of ``edges`` bit i."""
+    blocks: dict = {}
     for i, edge in enumerate(edges):
-        if edge != prev:
-            prev = edge
-            u, v = edge
-            if u == lt:
-                if v != rt:
-                    lefts.append((edges[:i] + edges[i + 1 :], v, rt))
-            elif v == lt:
-                if u != rt:
-                    lefts.append((edges[:i] + edges[i + 1 :], u, rt))
-            elif u == rt:
-                rights.append((edges[:i] + edges[i + 1 :], lt, v))
-            elif v == rt:
-                rights.append((edges[:i] + edges[i + 1 :], lt, u))
-    return lefts, rights
+        blocks[edge] = blocks.get(edge, 0) | 1 << i
+    return _rule(variant, blocks, shift)
 
 
-def _tron_successors(state):
-    """Left and right successor states: the departed vertex loses every
-    edge, which leaves one remainder per mover."""
-    edges, lt, rt = state
-    left_dests = []
-    right_dests = []
-    prev = None
-    for edge in edges:
-        if edge != prev:
-            prev = edge
-            u, v = edge
-            if u == lt:
-                if v != rt:
-                    left_dests.append(v)
-            elif v == lt:
-                if u != rt:
-                    left_dests.append(u)
-            elif u == rt:
-                right_dests.append(v)
-            elif v == rt:
-                right_dests.append(u)
-    lefts = rights = ()
-    if left_dests:
-        rest = tuple([e for e in edges if lt not in e])
-        lefts = [(rest, d, rt) for d in left_dests]
-    if right_dests:
-        rest = tuple([e for e in edges if rt not in e])
-        rights = [(rest, lt, d) for d in right_dests]
-    return lefts, rights
-
-
-_SUCCESSORS = {Variant.YASHIMA: _yashima_successors, Variant.TRON: _tron_successors}
-
-
-def _compact(state: YashimaState) -> tuple:
-    return state.graph.edges, state.left_token, state.right_token
+def _packed(state: YashimaState) -> tuple:
+    """The state's numbering key ``(variant, edges, S)`` and the state
+    packed in it, every edge copy present."""
+    edges = state.graph.edges
+    lt, rt = state.left_token, state.right_token
+    shift = (max(lt, rt, *(v for _, v in edges)) + 1).bit_length()
+    full = (1 << len(edges)) - 1
+    return (state.variant, edges, shift), (full << shift | lt) << shift | rt
 
 
 def _edge(u: int, v: int) -> tuple[int, int]:
@@ -217,13 +233,22 @@ def _edge(u: int, v: int) -> tuple[int, int]:
 
 def _slides(state: YashimaState, player: Player) -> dict:
     """Each distinct slide of the player's token, in edge order, as
-    ``Move -> compact successor state``."""
-    lefts, rights = _SUCCESSORS[state.variant](_compact(state))
+    ``Move -> (edges, left token, right token)`` after the slide."""
+    key, root = _packed(state)
+    _, edges, shift = key
+    lefts, rights = _successors(root, _edge_rule(*key))
+    low = (1 << shift) - 1
     if player is Player.LEFT:
-        lt = state.left_token
-        return {Move(_edge(lt, s[1]), s[1]): s for s in lefts}
-    rt = state.right_token
-    return {Move(_edge(rt, s[2]), s[2]): s for s in rights}
+        token, succs, at = state.left_token, lefts, shift
+    else:
+        token, succs, at = state.right_token, rights, 0
+    out = {}
+    for s in succs:
+        mask = s >> 2 * shift
+        dest = s >> at & low
+        after = tuple(e for i, e in enumerate(edges) if mask >> i & 1)
+        out[Move(_edge(token, dest), dest)] = (after, s >> shift & low, s & low)
+    return out
 
 
 def move_descriptors(state: YashimaState, player: Player) -> tuple[Move, ...]:
@@ -315,16 +340,29 @@ class SolveStats:
 class YashimaSolver:
     """Translates states into interned positions, sharing transpositions.
 
-    Game ids are memoized per variant on the compact state, so every
-    state is interned once per solver whatever root reaches it.
+    Game ids are memoized on the packed state, one memo per numbering
+    ``(variant, root edge tuple, S)``: roots on the same edges with tokens
+    that fit the same S share walk work, and a root on other edges walks
+    its own states, even those another root's walk has visited.  Game ids
+    are still shared by every root, since the engine hash-conses them.
     """
 
     def __init__(self, engine: Engine):
         self.engine = engine
-        self._memos = {variant: {} for variant in Variant}
+        # numbering key -> (its rule, game id per packed state)
+        self._memos: dict = {}
+
+    def _numbered(self, state: YashimaState) -> tuple:
+        """The rule and memo of the state's numbering, and its packed root."""
+        key, root = _packed(state)
+        entry = self._memos.get(key)
+        if entry is None:
+            entry = self._memos[key] = (_edge_rule(*key), {})
+        return entry, root
 
     def to_game(self, state: YashimaState) -> int:
-        return self._walk(_compact(state), state.variant)
+        (rule, memo), root = self._numbered(state)
+        return self._walk(root, rule, memo)
 
     def tree_size(self, state: YashimaState) -> int:
         """Nodes of the full game tree below the state (the state included).
@@ -346,17 +384,17 @@ class YashimaSolver:
 
     def solve_stats(self, state: YashimaState) -> SolveStats:
         """Value, tree size and reachable count from one post-order walk."""
-        root = _compact(state)
+        (rule, memo), root = self._numbered(state)
         sizes: dict = {}
-        game = self._walk(root, state.variant, sizes)
+        game = self._walk(root, rule, memo, sizes)
         return SolveStats(
             expanded_nodes=sizes[root],
             memo_entries=len(sizes),
             value=self.engine.classify_value(game),
         )
 
-    def _walk(self, root: tuple, variant: Variant, sizes: dict | None = None) -> int:
-        """Game id of a compact state, by an iterative post-order walk.
+    def _walk(self, root: int, rule: _Rule, memo: dict, sizes: dict | None = None) -> int:
+        """Game id of a packed state, by an iterative post-order walk.
 
         Without ``sizes`` the walk stops at states the memo already holds.
         With it, the walk visits every state reachable from the root once,
@@ -364,20 +402,20 @@ class YashimaSolver:
         length is then the reachable count.  Each visited state's
         successors are generated exactly once either way.
         """
-        memo = self._memos[variant]
-        successors = _SUCCESSORS[variant]
         intern = self.engine.intern
+        game = memo.__getitem__
         done = memo if sizes is None else sizes
+        is_done = done.__contains__
         stack = [root]
         waiting: dict = {}  # state -> its successors, while they are walked
         while stack:
             state = stack.pop()
-            if state in done:
+            if is_done(state):
                 continue
             children = waiting.pop(state, None) if waiting else None
             if children is None:
-                children = successors(state)
-                missing = list(filterfalse(done.__contains__, chain(*children)))
+                children = _successors(state, rule)
+                missing = list(filterfalse(is_done, chain(*children)))
                 if missing:
                     waiting[state] = children
                     stack.append(state)
@@ -385,12 +423,11 @@ class YashimaSolver:
                     continue
             lefts, rights = children
             if sizes is not None:
-                sizes[state] = 1 + sum(map(sizes.__getitem__, lefts)) + sum(
-                    map(sizes.__getitem__, rights)
-                )
+                size = sizes.__getitem__
+                sizes[state] = 1 + sum(map(size, lefts)) + sum(map(size, rights))
                 if state in memo:
                     continue
-            memo[state] = intern([memo[s] for s in lefts], [memo[s] for s in rights])
+            memo[state] = intern(map(game, lefts), map(game, rights))
         return memo[root]
 
 
@@ -436,15 +473,20 @@ def commuting_violation(state: YashimaState):
     A pair fails when one move stops being legal after the other, or when
     the two application orders land in different states.
     """
-    successors = _SUCCESSORS[state.variant]
-    park = state.graph.vertex_count  # no edge touches it
+    key, root = _packed(state)
+    rule = _edge_rule(*key)
+    shift = rule.shift
+    low = (1 << shift) - 1
+    lt, rt = state.left_token, state.right_token
 
-    def moves(edges, token):
-        return [(s[1], s[0]) for s in successors((edges, token, park))[0]]
+    def moves(board, token):
+        # the other token waits on the parking vertex 2**S - 1
+        parked = (board << shift | token) << shift | low
+        return [(s >> shift & low, s >> 2 * shift) for s in _successors(parked, rule)[0]]
 
-    edges, lt, rt = _compact(state)
-    lefts = [s for s in moves(edges, lt) if s[0] != rt]
-    rights = [s for s in moves(edges, rt) if s[0] != lt]
+    mask = root >> 2 * shift
+    lefts = [s for s in moves(mask, lt) if s[0] != rt]
+    rights = [s for s in moves(mask, rt) if s[0] != lt]
     bad = _commuting_failure(moves, lt, rt, lefts, rights)
     return None if bad is None else _move_pair(lt, rt, bad)
 
@@ -523,14 +565,23 @@ def verify_bipartite_simplicity(
         raise BoundsTooLargeError(
             "sweep of at least %d states exceeds the budget of %d" % (upper, state_budget)
         )
-    successors = _SUCCESSORS[variant]
     intern = engine.intern
     zsys = NumberSystem.Z
-    # No edge touches vertex span, so a token parked there blocks nothing
-    # and the other token's Left successors are exactly its slides.  The
-    # slide rule treats both tokens alike: one row per vertex serves both.
+    # One numbering serves the whole sweep: each pair of the span vertices
+    # gets max_edges bits, which a board's copies fill from the lowest, so
+    # a board is its mask.  No edge touches the parking vertex, so a token
+    # parked there blocks nothing and the other token's Left successors are
+    # exactly its slides.  The slide rule treats both tokens alike: one row
+    # per vertex serves both.
     span = max(max_vertices, 1)
-    # edge tuple -> board id, given the first time the sweep meets it
+    blocks = {
+        pair: ((1 << max_edges) - 1) << (k * max_edges)
+        for k, pair in enumerate(itertools.combinations(range(span), 2))
+    }
+    shift = span.bit_length()
+    low = (1 << shift) - 1
+    rule = _rule(variant, blocks, shift)
+    # board mask -> board id, given the first time the sweep meets it
     boards: dict = {}
     # board id -> per vertex, the (destination, board id after) slides
     rows: list = []
@@ -567,24 +618,52 @@ def verify_bipartite_simplicity(
     for n in range(2, max_vertices + 1):
         last = n - 1
         pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        # per pair, its block and the block's lowest bit
+        slots = [(blocks[pair], blocks[pair] & -blocks[pair]) for pair in pairs]
+        # Boards as (edges, mask, index of the last pair, highest endpoint).
+        # The boards with m edge copies come in the order of
+        # combinations_with_replacement: each kept board of m - 1 copies
+        # takes every pair from its last one on, so every edge tuple is
+        # sorted, and the new copy takes the lowest free bit of its pair's
+        # block.  An odd cycle stays in every supergraph, so only bipartite
+        # boards are kept for the next copy.
+        kept = [((), 0, 0, 0)]
         for m in range(0, max_edges + 1):
-            # pairs are in order, so every combination is a sorted edge tuple
-            for edges in itertools.combinations_with_replacement(pairs, m):
+            level = kept
+            if m:
+                level = (
+                    (
+                        edges + (pairs[k],),
+                        mask | ((mask & slots[k][0]) + slots[k][1]),
+                        k,
+                        max(top, pairs[k][1]),
+                    )
+                    for edges, mask, first, top in kept
+                    for k in range(first, len(pairs))
+                )
+            kept = []
+            for grown in level:
+                edges, mask, _, top = grown
                 labels = _bipartition(n, edges)
                 if labels is None:
                     continue
+                if m < max_edges:
+                    kept.append(grown)
                 graphs_checked += 1
-                board = boards.get(edges)
+                board = boards.get(mask)
                 if board is None:
-                    board = boards[edges] = len(rows)
+                    board = boards[mask] = len(rows)
+                    parked = mask << 2 * shift | low
                     rows.append([
-                        [(s[1], boards[s[0]]) for s in successors((edges, x, span))[0]]
+                        [
+                            (s >> shift & low, boards[s >> 2 * shift])
+                            for s in _successors(parked | x << shift, rule)[0]
+                        ]
                         for x in range(span)
                     ])
                     games.append([None] * (span * span))
                 row = rows[board]
                 placed = games[board]
-                top = max(v for _, v in edges) if edges else 0
                 for lt in range(n):
                     for rt in range(n):
                         # a placement that leaves the last vertex bare has

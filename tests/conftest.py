@@ -14,6 +14,7 @@ import random
 import pytest
 
 from diamondcgt.engine import Engine
+from diamondcgt.notation import format_canonical
 from diamondcgt.values import Dyadic, ValueClass
 
 import oracle
@@ -52,23 +53,15 @@ def day2_forms(engine, day1_forms):
 
 
 def _structural_order(engine, games):
-    """Games sorted by birthday, then by their sorted options' keys.
+    """Games sorted by birthday, then by canonical text.
 
-    The order reads only the game trees, never intern ids, so it does not
-    depend on which tests interned nodes first, and seeded samples of the
-    universes draw the same positions in every run.
+    Canonical text does not depend on intern history, so the order does
+    not depend on which tests interned nodes first, and seeded samples of
+    the universes draw the same positions in every run.
     """
-    keys: dict = {}
 
     def key(g):
-        k = keys.get(g)
-        if k is None:
-            k = keys[g] = (
-                engine.birthday(g),
-                tuple(sorted(map(key, engine.left_options(g)))),
-                tuple(sorted(map(key, engine.right_options(g)))),
-            )
-        return k
+        return engine.birthday(g), format_canonical(engine, g)
 
     return tuple(sorted(games, key=key))
 

@@ -89,7 +89,9 @@ def test_stop_bounds_force_strict_order(engine, day3_values, random_day4_forms):
             if rs < x < ls:
                 fuzzy_checks += 1
                 assert engine.compare(g, engine.number_position(x)) is Relation.FUZZY
-    assert fuzzy_checks > 0
+    # one number whichever tests ran before: the universes are ordered by
+    # birthday and canonical text, not by intern ids
+    assert fuzzy_checks == 2164
 
 
 def test_simplicity_determines_number_values(engine, day3_forms, random_day4_forms):

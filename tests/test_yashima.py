@@ -267,6 +267,9 @@ def test_solve_stats_ignore_an_already_filled_memo(engine):
     for player in Player:
         for succ in legal_moves(ladder, player):
             solver.solve_stats(succ)
+    # roots on the ladder's own edges fill the memo the ladder's walk reads
+    for lt, rt in ((0, 9), (5, 4), (0, 4)):
+        solver.to_game(YashimaState(ladder.graph, lt, rt))
     again = solver.solve_stats(ladder)
     assert (again.expanded_nodes, again.memo_entries) == (
         fresh.expanded_nodes,
@@ -280,6 +283,77 @@ def test_tron_ladder_statistics(engine):
     stats = YashimaSolver(engine).solve_stats(_ladder(Variant.TRON))
     assert stats.expanded_nodes == 3899
     assert stats.memo_entries == 322
+
+
+@pytest.mark.parametrize(
+    "variant, nodes", [(Variant.YASHIMA, 668), (Variant.TRON, 171)]
+)
+def test_ladder_node_count(variant, nodes):
+    engine = Engine()
+    YashimaSolver(engine).solve_stats(_ladder(variant))
+    assert engine.node_count() == nodes
+
+
+@pytest.mark.parametrize("variant", [Variant.YASHIMA, Variant.TRON])
+def test_roots_share_game_ids_not_walks(variant):
+    # each successor is a root on other edges, so it is walked again under
+    # its own numbering, and still lands on the ladder's option ids
+    engine = Engine()
+    solver = YashimaSolver(engine)
+    ladder = _ladder(variant)
+    solver.solve_stats(ladder)
+    game = solver.to_game(ladder)
+    nodes = engine.node_count()
+    for player, options in (
+        (Player.LEFT, engine.left_options(game)),
+        (Player.RIGHT, engine.right_options(game)),
+    ):
+        ids = [solver.to_game(succ) for succ in legal_moves(ladder, player)]
+        assert ids and tuple(sorted(set(ids))) == options
+    assert engine.node_count() == nodes
+
+
+def _from_oracle(engine, game, memo):
+    """The engine id of an oracle game, built bottom-up.  Memoized by object
+    identity: the oracle's structural equality is exponential on the deep,
+    transposition-rich trees of long boards."""
+    got = memo.get(id(game))
+    if got is None:
+        got = memo[id(game)] = engine.intern(
+            [_from_oracle(engine, g, memo) for g in game.left],
+            [_from_oracle(engine, g, memo) for g in game.right],
+        )
+    return got
+
+
+def _assert_matches_oracle(engine, solver, state):
+    edges, variant = state.graph.edges, state.variant.value
+    lt, rt = state.left_token, state.right_token
+    game = o.slide_game(edges, lt, rt, variant)
+    assert solver.to_game(state) == _from_oracle(engine, game, {}), state
+    assert solver.reachable_states(state) == o.slide_state_count(
+        edges, lt, rt, variant
+    ), state
+
+
+@pytest.mark.parametrize("variant", [Variant.YASHIMA, Variant.TRON])
+def test_wide_token_fields_match_oracle(engine, variant):
+    # token fields of 6 and 7 bits: tokens on vertices 39 and 69
+    _assert_matches_oracle(engine, YashimaSolver(engine), _path(40, 0, 39, variant))
+    padded = YashimaState(MultiGraph(70, ((0, 1), (1, 2))), 0, 69, variant)
+    _assert_matches_oracle(engine, YashimaSolver(engine), padded)
+
+
+@pytest.mark.parametrize("variant", [Variant.YASHIMA, Variant.TRON])
+def test_later_roots_above_the_first_roots_vertices(engine, variant):
+    # one solver, one edge tuple: the first root's vertices fit in 3 bits;
+    # later roots put a token above them, in the same width and wider
+    graph = MultiGraph(40, ((0, 1), (1, 2), (1, 2), (2, 3)))
+    solver = YashimaSolver(engine)
+    for lt, rt in ((0, 3), (0, 6), (6, 2), (1, 7), (39, 1), (3, 0)):
+        _assert_matches_oracle(
+            engine, solver, YashimaState(graph, lt, rt, variant)
+        )
 
 
 def test_ladder_against_oracle():
