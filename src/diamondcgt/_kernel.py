@@ -16,7 +16,12 @@ Everything expensive is memoized against the owning store:
   by removing dominated options and bypassing reversible ones bottom-up,
 * ``number_value`` decodes canonical shapes into exact dyadic rationals,
 * ``stop`` follows the optimal-stopping recursion for either player in
-  either the integer or the dyadic number system.
+  either the integer or the dyadic number system,
+* ``guides`` picks a player's options that realize that stop.
+
+``compare`` makes one ``leq`` call instead of two when g <= h, g != h and
+both are canonical: distinct canonical forms are never equal, so the
+answer is less without asking whether h <= g.
 
 Each rule is written once for both players and takes a ``side``, 0 for
 Left and 1 for Right: Right's rule is Left's with the order reversed.
@@ -107,6 +112,7 @@ class GameStore:
         "_birthday",
         "_number",
         "_stops",
+        "_guides",
         "_numpos",
         "zero",
     )
@@ -119,6 +125,7 @@ class GameStore:
         self._birthday = {}
         self._number = {}
         self._stops = ({}, {})  # per side: (g, integer_system) -> stop
+        self._guides = ({}, {})  # per side: (g, integer_system) -> options
         self._numpos = {}
         self.zero = self.intern((), ())
 
@@ -135,6 +142,8 @@ class GameStore:
             "number": len(self._number),
             "left_stops": len(self._stops[0]),
             "right_stops": len(self._stops[1]),
+            "left_guides": len(self._guides[0]),
+            "right_guides": len(self._guides[1]),
             "number_positions": len(self._numpos),
         }
 
@@ -204,6 +213,10 @@ class GameStore:
         a = rows[g].get(h)
         if a is None:
             a = self.leq(g, h)
+        if a and g != h:
+            canonical = self._canonical
+            if canonical.get(g) == g and canonical.get(h) == h:
+                return REL_LESS
         b = rows[h].get(g)
         if b is None:
             b = self.leq(h, g)
@@ -381,6 +394,35 @@ class GameStore:
                 best = s
         memo[key] = best
         return best
+
+    def guides(self, g, side, integer_system):
+        """The player's options that realize the stop, within the system.
+
+        A member of the system has none.  Otherwise they are the options
+        whose value is the stop, failing that the options whose opponent
+        stop is.  Pairs are normalized, so tuple equality is exact, and in
+        the integer system a non-integer value never equals the stop.
+        """
+        key = (g, integer_system)
+        memo = self._guides[side]
+        got = memo.get(key)
+        if got is not None:
+            return got
+        v = self.number_value(g)
+        if v is not None and (not integer_system or v[1] == 0):
+            got = ()
+        else:
+            s = self.stop(g, side, integer_system)
+            options = self._nodes[g][side]
+            number_value = self.number_value
+            got = tuple(x for x in options if number_value(x) == s)
+            if not got:
+                stop = self.stop
+                got = tuple(
+                    x for x in options if stop(x, 1 - side, integer_system) == s
+                )
+        memo[key] = got
+        return got
 
     def number_position(self, num, exp=0):
         """Interned canonical tree for the dyadic num / 2**exp."""

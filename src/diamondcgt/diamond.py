@@ -73,7 +73,9 @@ class GuideOptions:
     For a member of the system both sides are empty.  Otherwise the Left
     side holds the Left options whose value equals the position's left
     stop when such options exist, else every Left option whose right stop
-    equals it; the Right side dually.
+    equals it; the Right side dually.  Both tuples are read from the
+    kernel's guide memo (``GameStore.guides``), computed once per
+    position, side and system.
     """
 
     left: tuple[int, ...]
@@ -82,22 +84,14 @@ class GuideOptions:
 
 
 def guide_options(engine: Engine, g: int, system: NumberSystem) -> GuideOptions:
-    if engine.as_number(g, system) is not None:
-        return GuideOptions((), (), system)
+    """The guide options of ``g`` in ``system``, from the kernel memo."""
+    store = engine.store
+    integer_system = system.integers_only
     return GuideOptions(
-        _guides(engine, engine.left_options(g), engine.left_stop(g, system),
-                engine.right_stop, system),
-        _guides(engine, engine.right_options(g), engine.right_stop(g, system),
-                engine.left_stop, system),
+        store.guides(g, 0, integer_system),
+        store.guides(g, 1, integer_system),
         system,
     )
-
-
-def _guides(engine: Engine, options, stop: Dyadic, reply_stop, system: NumberSystem):
-    """One side's guides: the options worth exactly ``stop``, else the
-    options whose opponent's stop, ``reply_stop``, equals it."""
-    chosen = tuple(x for x in options if engine.as_number(x, system) == stop)
-    return chosen or tuple(x for x in options if reply_stop(x, system) == stop)
 
 
 @dataclass(frozen=True)
@@ -139,9 +133,9 @@ def has_property(engine: Engine, g: int, p: PropertyName) -> PropertyReport:
     guide pair with a witness makes it hold.
     """
     system = property_system(p)
-    member = engine.as_number(g, system)
-    if member is not None:
-        return PropertyReport(True, p, Witness(member_value=member))
+    pair = engine.store.number_value(g)
+    if pair is not None and (not system.integers_only or pair[1] == 0):
+        return PropertyReport(True, p, Witness(member_value=Dyadic.from_pair(pair)))
     guides = guide_options(engine, g, system)
     for gl in guides.left:
         for gr in guides.right:

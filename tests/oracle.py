@@ -1,29 +1,40 @@
 """Brute-force reference implementations used only by the test suite.
 
 Everything here is deliberately independent of the package under test:
-games are nested frozensets compared structurally, order comparisons go
-through explicit difference games and the normal-play winner recursion,
-and the token-sliding rules are re-derived from scratch.  Slow is fine;
-disagreement with the engine is the whole point of having this file.
+games are nested frozensets, hash-consed so that equal structures are one
+object, order comparisons go through explicit difference games and the
+normal-play winner recursion, and the token-sliding rules are re-derived
+from scratch.  Slow is fine; disagreement with the engine is the whole
+point of having this file.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 
 class OGame:
-    """A game as two frozensets of subgames, hashed structurally."""
+    """A game as two frozensets of subgames, hashed structurally.
+
+    Construction is hash-consed: building a structure that already exists
+    returns the existing instance, so equal games are the same object and
+    ``==`` is the default identity test.  Each construction looks its key
+    up once, and the key's frozensets compare their members by identity,
+    so building a game costs time linear in its distinct subgames, however
+    many paths lead to them, and comparing two costs one identity test.
+    """
 
     __slots__ = ("left", "right", "_hash")
 
-    def __init__(self, left=(), right=()):
-        self.left = frozenset(left)
-        self.right = frozenset(right)
-        self._hash = hash((self.left, self.right))
-
-    def __eq__(self, other):
-        if not isinstance(other, OGame):
-            return NotImplemented
-        return self.left == other.left and self.right == other.right
+    def __new__(cls, left=(), right=()):
+        key = (frozenset(left), frozenset(right))
+        got = _INSTANCES.get(key)
+        if got is None:
+            got = object.__new__(cls)
+            got.left, got.right = key
+            got._hash = hash(key)
+            _INSTANCES[key] = got
+        return got
 
     def __hash__(self):
         return self._hash
@@ -32,12 +43,17 @@ class OGame:
         return "OGame(%r, %r)" % (sorted(map(repr, self.left)), sorted(map(repr, self.right)))
 
 
+_INSTANCES: dict = {}
+
 ZERO = OGame()
 STAR = OGame([ZERO], [ZERO])
 
 _neg_memo: dict = {}
 _add_memo: dict = {}
 _win_memo: dict = {}
+_birthday_memo: dict = {}
+_numbers_memo: dict = {}
+_stop_memo: dict = {}
 
 
 def neg(g: OGame) -> OGame:
@@ -127,6 +143,64 @@ def dyadic(numerator: int, exponent: int) -> OGame:
         [dyadic((numerator - 1) // 2, exponent - 1)],
         [dyadic((numerator + 1) // 2, exponent - 1)],
     )
+
+
+def birthday(g: OGame) -> int:
+    """The day a form is born: 0 for {|}, else one past its latest option."""
+    cached = _birthday_memo.get(g)
+    if cached is None:
+        cached = 1 + max(map(birthday, g.left | g.right), default=-1)
+        _birthday_memo[g] = cached
+    return cached
+
+
+def numbers_born_by(day: int, system: str = "D") -> list:
+    """Every number of the system ("Z" or "D") whose tree is born by day,
+    as (Fraction, tree) pairs, found by building candidate trees with at
+    most ``day`` halvings and magnitude at most ``day``."""
+    key = (day, system)
+    cached = _numbers_memo.get(key)
+    if cached is None:
+        halvings = 0 if system == "Z" else day
+        cached = []
+        for e in range(halvings + 1):
+            for n in range(-day << e, (day << e) + 1):
+                if e == 0 or n % 2:
+                    tree = dyadic(n, e)
+                    if birthday(tree) <= day:
+                        cached.append((Fraction(n, 1 << e), tree))
+        _numbers_memo[key] = cached
+    return cached
+
+
+def number_value(g: OGame, system: str = "D"):
+    """The number of the system equal to g, decided by ``eq`` against every
+    number tree born by g's birthday, or None.  A form equal to a number
+    is born no earlier than that number's tree, so none is missed."""
+    for value, tree in numbers_born_by(birthday(g), system):
+        if eq(g, tree):
+            return value
+    return None
+
+
+def stop(g: OGame, side: str, system: str = "D"):
+    """The Left ("L") or Right ("R") stop of g in the system, as a Fraction.
+
+    A member of the system is its own stop; otherwise Left's stop is the
+    largest Right stop among g's Left options, and Right's the smallest
+    Left stop among its Right options.
+    """
+    key = (g, side, system)
+    cached = _stop_memo.get(key)
+    if cached is None:
+        cached = number_value(g, system)
+        if cached is None:
+            if side == "L":
+                cached = max(stop(x, "R", system) for x in g.left)
+            else:
+                cached = min(stop(x, "L", system) for x in g.right)
+        _stop_memo[key] = cached
+    return cached
 
 
 # --- token sliding, re-derived ------------------------------------------

@@ -189,6 +189,45 @@ def test_stats_count_the_day2_order_memo():
     assert stats["leq"] == 500
     assert stats["canonical"] == 256
     assert stats["number"] == stats["left_stops"] == stats["right_stops"] == 0
+    assert stats["left_guides"] == stats["right_guides"] == 0
+
+
+_RELATION_OF_LEQS = {
+    (True, True): _kernel.REL_EQUAL,
+    (True, False): _kernel.REL_LESS,
+    (False, True): _kernel.REL_GREATER,
+    (False, False): _kernel.REL_FUZZY,
+}
+
+
+def test_compare_matches_two_leqs_on_day3_values(engine, day3_values):
+    # compare answers less after one leq when both sides are canonical;
+    # every pair of distinct values, in both orders, against the relation
+    # that two explicit leq calls give
+    store = engine.store
+    values = day3_values
+    for i, g in enumerate(values):
+        for h in values[i + 1 :]:
+            forward, backward = store.compare(g, h), store.compare(h, g)
+            a, b = store.leq(g, h), store.leq(h, g)
+            assert forward == _RELATION_OF_LEQS[a, b], (g, h)
+            assert backward == _RELATION_OF_LEQS[b, a], (h, g)
+
+
+def test_compare_keeps_equal_forms_equal():
+    # g <= h with g != h is less only when both are canonical: equal
+    # forms that are not canonical, or with one canonical side, stay equal
+    engine = Engine()
+    zero, star = engine.zero, engine.star()
+    minus_one, one = engine.number_position(-1), engine.number_position(1)
+    wide_zero = engine.intern((minus_one,), (one,))
+    star_star = engine.intern((star,), (star,))
+    for g in (zero, star, wide_zero, star_star):
+        engine.canonical_form(g)
+    assert engine.canonical_form(wide_zero) == engine.canonical_form(star_star) == zero
+    for g, h in ((wide_zero, zero), (star_star, zero), (wide_zero, star_star)):
+        assert engine.compare(g, h) is Relation.EQUAL
+        assert engine.compare(h, g) is Relation.EQUAL
 
 
 def test_backend_report():

@@ -109,6 +109,43 @@ def test_guide_options_fall_back_to_stop_matching(engine):
     assert guides.right == (star,)
 
 
+def _reference_guides(engine, g, system):
+    """The guide rule from its definition, on the engine's typed values:
+    no guides for a member, else the options worth the stop, else the
+    options whose opponent stop equals it."""
+    if engine.as_number(g, system) is not None:
+        return (), ()
+
+    def side(options, stop, reply_stop):
+        chosen = tuple(x for x in options if engine.as_number(x, system) == stop)
+        return chosen or tuple(x for x in options if reply_stop(x, system) == stop)
+
+    return (
+        side(engine.left_options(g), engine.left_stop(g, system), engine.right_stop),
+        side(engine.right_options(g), engine.right_stop(g, system), engine.left_stop),
+    )
+
+
+def test_guide_options_match_the_rule(engine, day3_values, random_day4_forms):
+    rng = random.Random(54)
+    suite = list(day3_values) + rng.sample(random_day4_forms, 300)
+    first = {}
+    for g in suite:
+        for system in (Z, D):
+            guides = guide_options(engine, g, system)
+            assert guides.system is system
+            assert (guides.left, guides.right) == _reference_guides(engine, g, system)
+            first[g, system] = guides
+    # a second call reads the kernel memo: same tuples, no new entries
+    before = engine.stats()
+    assert before["left_guides"] > 0 and before["right_guides"] > 0
+    for (g, system), guides in first.items():
+        assert guide_options(engine, g, system) == guides
+    after = engine.stats()
+    assert after["left_guides"] == before["left_guides"]
+    assert after["right_guides"] == before["right_guides"]
+
+
 def test_has_diamond_examples(engine):
     assert has_diamond(engine, engine.number_position(3), Z).holds
     assert not has_diamond(engine, engine.star(), Z).holds

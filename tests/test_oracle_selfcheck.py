@@ -6,6 +6,8 @@ cross-checks elsewhere mean something.
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 import oracle as o
 
 
@@ -57,3 +59,40 @@ def test_tron_deletes_departed_vertex_edges():
     edges = ((0, 1), (0, 2))
     succ = o.slide_successors(edges, 0, 2, "tron")
     assert succ == [((), 1)]
+
+
+def test_construction_is_hash_consed():
+    # the same structure built twice, in different orders, is one object
+    a = o.OGame([o.integer(1), o.STAR], [o.dyadic(1, 1)])
+    star, one = o.OGame([o.ZERO], [o.ZERO]), o.OGame([o.ZERO])
+    b = o.OGame([star, one], [o.OGame([o.ZERO], [one])])
+    assert a is b
+    assert o.OGame([o.integer(-1)], [o.integer(1)]) is not o.ZERO
+
+
+def test_birthdays_and_numbers_born_by():
+    assert o.birthday(o.ZERO) == 0
+    assert o.birthday(o.STAR) == 1
+    assert o.birthday(o.integer(-3)) == 3
+    assert o.birthday(o.dyadic(3, 2)) == 3
+    # 1, 2, 4 and 8 numbers are born on days 0 to 3
+    assert len(o.numbers_born_by(3)) == 15
+    assert [str(x) for x, _ in o.numbers_born_by(2, "Z")] == ["-2", "-1", "0", "1", "2"]
+
+
+def test_stops_of_small_games():
+    up = o.OGame([o.ZERO], [o.STAR])
+    half = o.dyadic(1, 1)
+    pair = o.OGame([o.ZERO], [o.integer(-3)])
+    cases = [
+        # game, (LS, RS) in Z, (LS, RS) in D
+        (o.STAR, (0, 0), (0, 0)),
+        (up, (0, 0), (0, 0)),
+        (half, (0, 1), (Fraction(1, 2), Fraction(1, 2))),
+        (pair, (0, -3), (0, -3)),
+        # equal to 0 but not in canonical form: a member, its own stop
+        (o.OGame([o.integer(-1)], [o.integer(1)]), (0, 0), (0, 0)),
+    ]
+    for g, z_stops, d_stops in cases:
+        assert (o.stop(g, "L", "Z"), o.stop(g, "R", "Z")) == z_stops
+        assert (o.stop(g, "L", "D"), o.stop(g, "R", "D")) == d_stops

@@ -6,6 +6,8 @@ import random
 
 from diamondcgt.values import Dyadic, NumberSystem, Relation
 
+import oracle as o
+
 Z = NumberSystem.Z
 D = NumberSystem.D
 
@@ -107,3 +109,19 @@ def test_simplicity_determines_number_values(engine, day3_forms, random_day4_for
             # an integer fit is also the simplest dyadic fit
             assert engine.simplest_between(lefts, rights, D) == fit_z
             assert engine.as_number(g, D) == fit_z
+
+
+def test_stops_and_birthdays_match_oracle(
+    engine, day3_forms, random_day4_forms, to_oracle
+):
+    # the oracle's stops decide membership by eq against its own number
+    # trees, independently of the kernel's canonical forms and decoding
+    rng = random.Random(44)
+    suite = rng.sample(day3_forms, 600) + rng.sample(random_day4_forms, 300)
+    for g in suite:
+        game = to_oracle(g)
+        assert engine.birthday(g) == o.birthday(game)
+        for system in (Z, D):
+            ls, rs = engine.left_stop(g, system), engine.right_stop(g, system)
+            assert ls.as_fraction() == o.stop(game, "L", system.name)
+            assert rs.as_fraction() == o.stop(game, "R", system.name)

@@ -313,46 +313,35 @@ def test_roots_share_game_ids_not_walks(variant):
     assert engine.node_count() == nodes
 
 
-def _from_oracle(engine, game, memo):
-    """The engine id of an oracle game, built bottom-up.  Memoized by object
-    identity: the oracle's structural equality is exponential on the deep,
-    transposition-rich trees of long boards."""
-    got = memo.get(id(game))
-    if got is None:
-        got = memo[id(game)] = engine.intern(
-            [_from_oracle(engine, g, memo) for g in game.left],
-            [_from_oracle(engine, g, memo) for g in game.right],
-        )
-    return got
-
-
-def _assert_matches_oracle(engine, solver, state):
+def _assert_matches_oracle(to_oracle, solver, state):
+    # hash-consed oracle games: equal trees are one object, so == is cheap
+    # even on the deep, transposition-rich trees of long boards
     edges, variant = state.graph.edges, state.variant.value
     lt, rt = state.left_token, state.right_token
     game = o.slide_game(edges, lt, rt, variant)
-    assert solver.to_game(state) == _from_oracle(engine, game, {}), state
+    assert to_oracle(solver.to_game(state)) == game, state
     assert solver.reachable_states(state) == o.slide_state_count(
         edges, lt, rt, variant
     ), state
 
 
 @pytest.mark.parametrize("variant", [Variant.YASHIMA, Variant.TRON])
-def test_wide_token_fields_match_oracle(engine, variant):
+def test_wide_token_fields_match_oracle(engine, to_oracle, variant):
     # token fields of 6 and 7 bits: tokens on vertices 39 and 69
-    _assert_matches_oracle(engine, YashimaSolver(engine), _path(40, 0, 39, variant))
+    _assert_matches_oracle(to_oracle, YashimaSolver(engine), _path(40, 0, 39, variant))
     padded = YashimaState(MultiGraph(70, ((0, 1), (1, 2))), 0, 69, variant)
-    _assert_matches_oracle(engine, YashimaSolver(engine), padded)
+    _assert_matches_oracle(to_oracle, YashimaSolver(engine), padded)
 
 
 @pytest.mark.parametrize("variant", [Variant.YASHIMA, Variant.TRON])
-def test_later_roots_above_the_first_roots_vertices(engine, variant):
+def test_later_roots_above_the_first_roots_vertices(engine, to_oracle, variant):
     # one solver, one edge tuple: the first root's vertices fit in 3 bits;
     # later roots put a token above them, in the same width and wider
     graph = MultiGraph(40, ((0, 1), (1, 2), (1, 2), (2, 3)))
     solver = YashimaSolver(engine)
     for lt, rt in ((0, 3), (0, 6), (6, 2), (1, 7), (39, 1), (3, 0)):
         _assert_matches_oracle(
-            engine, solver, YashimaState(graph, lt, rt, variant)
+            to_oracle, solver, YashimaState(graph, lt, rt, variant)
         )
 
 
