@@ -6,6 +6,8 @@ the fixed keys command, input, result, witnesses, and counts.  Exit
 status is 0 on success, 1 when a checked property fails or a
 counterexample is found, and 2 for usage errors, unreadable files and
 every package error (``DiamondCgtError``), with the message on stderr.
+One dispatcher, ``_run``, returns each command's record, and ``main``
+renders it once, as the JSON object or as the text lines.
 """
 
 from __future__ import annotations
@@ -21,9 +23,6 @@ from .graphio import load_graph, print_graph
 from .notation import format_canonical, format_position, format_value, parse_position
 from .values import NumberSystem
 from .yashima import Variant, YashimaSolver, color_class, verify_bipartite_simplicity
-
-_SYSTEMS = {"z": NumberSystem.Z, "d": NumberSystem.D}
-
 
 class _ArgumentParser(argparse.ArgumentParser):
     """An argument that starts with ``-`` and a digit is an expression.
@@ -66,7 +65,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("stops", help="left and right stops")
     p.add_argument(
         "--system",
-        choices=sorted(_SYSTEMS),
+        choices=sorted(system.value for system in NumberSystem),
         default="d",
         help="number system the stops bottom out in (default d)",
     )
@@ -113,29 +112,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit(
-    as_json: bool,
-    command: str,
-    input_value,
-    result,
-    witnesses: list,
-    counts: dict,
-    text_lines: list[str],
-) -> None:
-    if as_json:
-        payload = {
-            "command": command,
-            "input": input_value,
-            "result": result,
-            "witnesses": witnesses,
-            "counts": counts,
-        }
-        print(json.dumps(payload, indent=2, sort_keys=False))
-    else:
-        for line in text_lines:
-            print(line)
-
-
 def _witness_json(engine: Engine, witness: Witness) -> dict:
     entry: dict = {}
     if witness.member_value is not None:
@@ -171,46 +147,24 @@ def _state_summary(state) -> str:
     return "; ".join(print_graph(state).splitlines())
 
 
-def _run_expr_command(args, engine: Engine) -> int:
-    if args.command == "value":
-        g = parse_position(engine, args.expr)
-        text = format_value(engine, g)
-        _emit(args.json, "value", args.expr, text, [], {}, [text])
-        return 0
-    if args.command == "canonical":
-        g = parse_position(engine, args.expr)
-        text = format_canonical(engine, g)
-        _emit(args.json, "canonical", args.expr, text, [], {}, [text])
-        return 0
+def _run(args, engine: Engine) -> tuple:
+    """The command's (input, result, witnesses, counts, text lines, status)."""
+    if args.command in ("value", "canonical"):
+        show = format_value if args.command == "value" else format_canonical
+        text = show(engine, parse_position(engine, args.expr))
+        return args.expr, text, [], {}, [text], 0
     if args.command == "compare":
         g = parse_position(engine, args.expr1)
         h = parse_position(engine, args.expr2)
         symbol = engine.compare(g, h).symbol
-        _emit(
-            args.json,
-            "compare",
-            [args.expr1, args.expr2],
-            symbol,
-            [],
-            {},
-            [symbol],
-        )
-        return 0
+        return [args.expr1, args.expr2], symbol, [], {}, [symbol], 0
     if args.command == "stops":
-        system = _SYSTEMS[args.system]
+        system = NumberSystem(args.system)
         g = parse_position(engine, args.expr)
         ls = engine.left_stop(g, system)
         rs = engine.right_stop(g, system)
-        _emit(
-            args.json,
-            "stops",
-            args.expr,
-            {"left_stop": str(ls), "right_stop": str(rs)},
-            [],
-            {},
-            ["LS %s" % ls, "RS %s" % rs],
-        )
-        return 0
+        result = {"left_stop": str(ls), "right_stop": str(rs)}
+        return args.expr, result, [], {}, ["LS %s" % ls, "RS %s" % rs], 0
     if args.command == "diamond":
         name = PropertyName(args.property_name)
         g = parse_position(engine, args.expr)
@@ -221,22 +175,8 @@ def _run_expr_command(args, engine: Engine) -> int:
         lines = ["holds" if report.holds else "fails"]
         if report.witness:
             lines.extend(_witness_lines(engine, report.witness))
-        _emit(
-            args.json,
-            "diamond",
-            args.expr,
-            {"property": name.value, "holds": report.holds},
-            witnesses,
-            {},
-            lines,
-        )
-        return 0 if report.holds else 1
-    raise AssertionError("unhandled command %r" % args.command)
-
-
-def _run_yashima(args, engine: Engine) -> int:
-    solver = YashimaSolver(engine)
-    command = "yashima %s" % args.yashima_command
+        result = {"property": name.value, "holds": report.holds}
+        return args.expr, result, witnesses, {}, lines, 0 if report.holds else 1
     if args.yashima_command == "verify":
         variant = Variant(args.variant)
         report = verify_bipartite_simplicity(
@@ -266,64 +206,58 @@ def _run_yashima(args, engine: Engine) -> int:
         lines.extend("%s %d" % (k, v) for k, v in counts.items())
         for w in witnesses:
             lines.append("%s: %s (%s)" % (w["kind"], w["detail"], w["state"]))
-        _emit(
-            args.json,
-            command,
-            {
-                "max_vertices": args.max_vertices,
-                "max_edges": args.max_edges,
-                "variant": variant.value,
-            },
-            report.ok,
-            witnesses,
-            counts,
-            lines,
-        )
-        return 0 if report.ok else 1
-
+        bounds = {
+            "max_vertices": args.max_vertices,
+            "max_edges": args.max_edges,
+            "variant": variant.value,
+        }
+        return bounds, report.ok, witnesses, counts, lines, 0 if report.ok else 1
     state = load_graph(args.file)
     if args.yashima_command == "classify":
         text = color_class(state).value
-        _emit(args.json, command, args.file, text, [], {}, [text])
-        return 0
-    if args.yashima_command == "value":
-        g = solver.to_game(state)
-        text = format_value(engine, g)
-        _emit(args.json, command, args.file, text, [], {}, [text])
-        return 0
+        return args.file, text, [], {}, [text], 0
+    solver = YashimaSolver(engine)
+    counts = {}
     if args.yashima_command == "stats":
         stats = solver.solve_stats(state)
-        g = solver.to_game(state)
-        text = format_value(engine, g)
         counts = {
             "expanded_nodes": stats.expanded_nodes,
             "memo_entries": stats.memo_entries,
         }
-        _emit(
-            args.json,
-            command,
-            args.file,
-            text,
-            [],
-            counts,
-            [
-                "value %s" % text,
-                "expanded %d" % stats.expanded_nodes,
-                "memo %d" % stats.memo_entries,
-            ],
-        )
-        return 0
-    raise AssertionError("unhandled command %r" % args.yashima_command)
+    text = format_value(engine, solver.to_game(state))
+    lines = [text]
+    if counts:
+        lines = [
+            "value %s" % text,
+            "expanded %(expanded_nodes)d" % counts,
+            "memo %(memo_entries)d" % counts,
+        ]
+    return args.file, text, [], counts, lines, 0
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     engine = Engine()
+    command = args.command
+    if command == "yashima":
+        command += " " + args.yashima_command
     try:
-        if args.command == "yashima":
-            return _run_yashima(args, engine)
-        return _run_expr_command(args, engine)
+        input_value, result, witnesses, counts, lines, status = _run(args, engine)
+        # printing stays inside the try: a failed write (a closed pipe)
+        # is an OSError and exits 2 like any other
+        if args.json:
+            payload = {
+                "command": command,
+                "input": input_value,
+                "result": result,
+                "witnesses": witnesses,
+                "counts": counts,
+            }
+            lines = [json.dumps(payload, indent=2)]
+        for line in lines:
+            print(line)
+        return status
     except (DiamondCgtError, OSError) as ex:
         print("error: %s" % ex, file=sys.stderr)
         return 2

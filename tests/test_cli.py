@@ -3,12 +3,15 @@
 from __future__ import annotations
 
 import json
+import random
+import sys
 from pathlib import Path
 
 import pytest
 
 from diamondcgt import cli
 from diamondcgt.cli import main
+from diamondcgt.diamond import PropertyName
 from diamondcgt.errors import (
     BoundsTooLargeError,
     MalformedGameError,
@@ -295,3 +298,144 @@ def test_json_schema_is_stable(capsys):
     _, payload, _ = _run_json(capsys, "compare", "1", "0")
     assert payload["input"] == ["1", "0"]
     assert payload["result"] == ">"
+
+
+def _result(payload):
+    return payload["result"]
+
+
+def _diamond_text(payload):
+    lines = ["holds" if payload["result"]["holds"] else "fails"]
+    lines += ["member-value " + w["member_value"] for w in payload["witnesses"]]
+    return "\n".join(lines)
+
+
+def _verify_text(payload):
+    lines = ["ok" if payload["result"] else "counterexamples"]
+    lines += ["%s %d" % item for item in payload["counts"].items()]
+    return "\n".join(lines)
+
+
+@pytest.mark.parametrize(
+    "argv, command, text_of",
+    [
+        (("value", "{1,0|1,2}"), "value", _result),
+        (("canonical", "*"), "canonical", _result),
+        (("compare", "{0|*}", "0"), "compare", _result),
+        (("stops", "--system", "z", "1/2"), "stops",
+         lambda p: "LS %(left_stop)s\nRS %(right_stop)s" % p["result"]),
+        (("diamond", "--property", "dd", "1/2"), "diamond", _diamond_text),
+        (("diamond", "--property", "dz", "*"), "diamond", _diamond_text),
+        (("yashima", "value", str(GRAPHS / "path_3.graph")), "yashima value",
+         _result),
+        (("yashima", "classify", str(GRAPHS / "single_edge.graph")),
+         "yashima classify", _result),
+        (("yashima", "stats", str(GRAPHS / "path_3.graph")), "yashima stats",
+         lambda p: "value %s\nexpanded %d\nmemo %d" % (
+             p["result"], p["counts"]["expanded_nodes"], p["counts"]["memo_entries"])),
+        (("yashima", "verify", "--max-vertices", "2", "--max-edges", "2"),
+         "yashima verify", _verify_text),
+    ],
+    ids=[
+        "value", "canonical", "compare", "stops", "diamond-holds",
+        "diamond-fails", "yashima-value", "yashima-classify", "yashima-stats",
+        "yashima-verify",
+    ],
+)
+def test_json_contract_of_every_command(capsys, argv, command, text_of):
+    text_code, out, _ = _run(capsys, *argv)
+    code, payload, _ = _run_json(capsys, *argv)
+    assert payload["command"] == command
+    assert code == text_code
+    assert out == text_of(payload) + "\n"
+
+
+class _BrokenPipe:
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["value", "{0|*}"],
+        ["--json", "yashima", "classify", str(GRAPHS / "path_3.graph")],
+    ],
+    ids=["text", "json"],
+)
+def test_failed_write_exits_2(capsys, monkeypatch, argv):
+    monkeypatch.setattr(sys, "stdout", _BrokenPipe())
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "error: [Errno 32] Broken pipe\n"
+
+
+_ATOMS = ["0", "*", "1", "-1", "2", "1/2", "-3/4", "3/8", "{0|*}", "{|}"]
+_GARBAGE = "{}|,*/-0123 x"
+
+
+def _fuzz_expr(rng):
+    """A braces expression: structured most of the time, else noise."""
+    if rng.random() < 0.2:
+        text = "".join(rng.choice(_GARBAGE) for _ in range(rng.randint(0, 8)))
+        # a leading '-' before a non-digit would be read as an option
+        return "0" + text if text[:1] == "-" and not text[1:2].isdigit() else text
+    return _fuzz_game(rng, 3)
+
+
+def _fuzz_game(rng, depth):
+    if depth == 0 or rng.random() < 0.3:
+        return rng.choice(_ATOMS)
+    sides = [
+        ",".join(_fuzz_game(rng, depth - 1) for _ in range(rng.randint(0, 2)))
+        for _ in range(2)
+    ]
+    return "{%s|%s}" % tuple(sides)
+
+
+def _fuzz_argv(rng, graphs):
+    """One random argv from every subcommand and option of the CLI."""
+    argv = ["--json"] if rng.random() < 0.5 else []
+    command = rng.choice(
+        ["value", "canonical", "compare", "stops", "diamond", "yashima"]
+    )
+    if command == "yashima":
+        sub = rng.choice(["value", "classify", "stats", "verify"])
+        argv += [command, sub]
+        if sub != "verify":
+            names = ["ladder_2x5", "path_3", "single_edge", "missing"]
+            return argv + [str(Path(graphs) / (rng.choice(names) + ".graph"))]
+        options = [
+            ["--max-vertices", str(rng.randint(-1, 3))],
+            ["--max-edges", str(rng.randint(-1, 3))],
+        ]
+        if rng.random() < 0.5:
+            options.append(["--variant", rng.choice(["yashima", "tron"])])
+        if rng.random() < 0.3:
+            options.append(["--state-budget", rng.choice(["-1", "5", "1000000"])])
+        rng.shuffle(options)
+        return argv + [word for option in options for word in option]
+    argv.append(command)
+    if command == "stops" and rng.random() < 0.7:
+        argv += ["--system", rng.choice(["z", "d"])]
+    if command == "diamond":
+        argv += ["--property", rng.choice([name.value for name in PropertyName])]
+    argv.append(_fuzz_expr(rng))
+    if command == "compare":
+        argv.append(_fuzz_expr(rng))
+    return argv
+
+
+def test_seeded_cli_fuzz(capsys):
+    rng = random.Random(14)
+    statuses = set()
+    for _ in range(300):
+        argv = _fuzz_argv(rng, GRAPHS)
+        code = main(argv)
+        out, err = capsys.readouterr()
+        command = argv[1:] if argv[0] == "--json" else argv
+        assert code in (0, 1, 2), argv
+        may_fail = command[0] == "diamond" or command[:2] == ["yashima", "verify"]
+        assert code != 1 or may_fail, argv
+        assert "Traceback" not in out + err, argv
+        statuses.add(code)
+    assert statuses == {0, 1, 2}
