@@ -24,14 +24,17 @@ from .values import Dyadic, NumberSystem
 
 
 class PropertyName(Enum):
-    """The certificate family, strongest general form first.
+    """The certificate family; its single definition is ``_RULES``.
 
-    DIAMOND_Z / DIAMOND_D take any number of the system strictly usable
-    between a guide pair.  The middle group refines the integer form:
-    DIAMOND wants a common second position, DIAMOND_LEQ comparable second
-    positions, the one-sided LFUZ forms compare a second position against
-    the opposite guide.  The last group lives in the dyadic system:
-    one-sided <= forms and the bare guide comparison TRIANGLE.
+    A member of the tag's system has every property of that system.
+    Otherwise some guide pair (gl, gr) must pass the tag's test on a pair
+    (a, b), with a either gl or a Right option of gl (a reply), and b
+    either gr or a Left option of gr.  DIAMOND_Z / DIAMOND_D ask for a
+    number of the system strictly usable between gl and gr.  The integer
+    refinements: DIAMOND wants a common reply a == b, DIAMOND_LEQ replies
+    a <= b, the one-sided LFUZ forms a reply less than or fuzzy with the
+    opposite guide.  The dyadic forms: a reply <= the opposite guide
+    (L_LEQ, R_LEQ), or the guides themselves less than or fuzzy (TRIANGLE).
     """
 
     DIAMOND_Z = "dz"
@@ -45,25 +48,25 @@ class PropertyName(Enum):
     TRIANGLE = "tri"
 
 
-_Z_FAMILY = {
-    PropertyName.DIAMOND,
-    PropertyName.DIAMOND_LEQ,
-    PropertyName.DIAMOND_L_LFUZ,
-    PropertyName.DIAMOND_R_LFUZ,
-}
-
-_D_FAMILY = {
-    PropertyName.DIAMOND_L_LEQ,
-    PropertyName.DIAMOND_R_LEQ,
-    PropertyName.TRIANGLE,
+# tag -> (system, a is a reply of gl?, b is a reply of gr?, relation), the
+# relation one of a == b ("="), a <= b ("<="), a less than or fuzzy with b
+# ("<|"), or None: some number of the system fits strictly between gl, gr
+_RULES = {
+    PropertyName.DIAMOND_Z: (NumberSystem.Z, False, False, None),
+    PropertyName.DIAMOND_D: (NumberSystem.D, False, False, None),
+    PropertyName.DIAMOND: (NumberSystem.Z, True, True, "="),
+    PropertyName.DIAMOND_LEQ: (NumberSystem.Z, True, True, "<="),
+    PropertyName.DIAMOND_L_LFUZ: (NumberSystem.Z, True, False, "<|"),
+    PropertyName.DIAMOND_R_LFUZ: (NumberSystem.Z, False, True, "<|"),
+    PropertyName.DIAMOND_L_LEQ: (NumberSystem.D, True, False, "<="),
+    PropertyName.DIAMOND_R_LEQ: (NumberSystem.D, False, True, "<="),
+    PropertyName.TRIANGLE: (NumberSystem.D, False, False, "<|"),
 }
 
 
 def property_system(p: PropertyName) -> NumberSystem:
     """The number system whose membership the property certifies."""
-    if p is PropertyName.DIAMOND_Z or p in _Z_FAMILY:
-        return NumberSystem.Z
-    return NumberSystem.D
+    return _RULES[p][0]
 
 
 @dataclass(frozen=True)
@@ -139,58 +142,31 @@ def has_property(engine: Engine, g: int, p: PropertyName) -> PropertyReport:
     guides = guide_options(engine, g, system)
     for gl in guides.left:
         for gr in guides.right:
-            witness = _pair_witness(engine, p, gl, gr, system)
+            witness = _pair_witness(engine, p, gl, gr)
             if witness is not None:
                 return PropertyReport(True, p, witness)
     return PropertyReport(False, p)
 
 
-def _pair_witness(
-    engine: Engine, p: PropertyName, gl: int, gr: int, system: NumberSystem
-) -> Witness | None:
-    if p is PropertyName.DIAMOND_Z or p is PropertyName.DIAMOND_D:
+def _pair_witness(engine: Engine, p: PropertyName, gl: int, gr: int) -> Witness | None:
+    system, reply_l, reply_r, relation = _RULES[p]
+    if relation is None:
         x = engine.simplest_between((gl,), (gr,), system)
         return None if x is None else Witness(guide_left=gl, guide_right=gr, x=x)
-    if p is PropertyName.TRIANGLE:
-        if engine.compare(gl, gr).less_or_fuzzy:
-            return Witness(guide_left=gl, guide_right=gr)
-        return None
-    if p is PropertyName.DIAMOND:
-        rights_of_gl = engine.right_options(gl)
-        lefts_of_gr = set(engine.left_options(gr))
-        for h in rights_of_gl:
-            if h in lefts_of_gr:
-                return Witness(guide_left=gl, guide_right=gr, second_moves=(h, h))
-        return None
-    if p is PropertyName.DIAMOND_LEQ:
-        for glr in engine.right_options(gl):
-            for grl in engine.left_options(gr):
-                if engine.leq(glr, grl):
-                    return Witness(
-                        guide_left=gl, guide_right=gr, second_moves=(glr, grl)
-                    )
-        return None
-    if p is PropertyName.DIAMOND_L_LFUZ:
-        for glr in engine.right_options(gl):
-            if engine.compare(glr, gr).less_or_fuzzy:
-                return Witness(guide_left=gl, guide_right=gr, second_moves=(glr, None))
-        return None
-    if p is PropertyName.DIAMOND_R_LFUZ:
-        for grl in engine.left_options(gr):
-            if engine.compare(gl, grl).less_or_fuzzy:
-                return Witness(guide_left=gl, guide_right=gr, second_moves=(None, grl))
-        return None
-    if p is PropertyName.DIAMOND_L_LEQ:
-        for glr in engine.right_options(gl):
-            if engine.leq(glr, gr):
-                return Witness(guide_left=gl, guide_right=gr, second_moves=(glr, None))
-        return None
-    if p is PropertyName.DIAMOND_R_LEQ:
-        for grl in engine.left_options(gr):
-            if engine.leq(gl, grl):
-                return Witness(guide_left=gl, guide_right=gr, second_moves=(None, grl))
-        return None
-    raise ValueError("unknown property %r" % (p,))
+    leq = engine.leq
+    for a in engine.right_options(gl) if reply_l else (gl,):
+        for b in engine.left_options(gr) if reply_r else (gr,):
+            if relation == "=":
+                found = a == b
+            elif relation == "<=":
+                found = leq(a, b)
+            else:
+                found = not leq(b, a)
+            if found:
+                replies = (a if reply_l else None, b if reply_r else None)
+                second = replies if reply_l or reply_r else None
+                return Witness(guide_left=gl, guide_right=gr, second_moves=second)
+    return None
 
 
 @dataclass(frozen=True)
@@ -242,7 +218,13 @@ def verify_closed_set(
     """
     if part.certified & part.plain:
         raise ValueError("partition parts overlap")
-    if p in _D_FAMILY and part.plain:
+    # a refinement (any rule with a relation) in the integer system adds the
+    # second-move condition and so supports a nontrivial partition; in the
+    # dyadic system it forces everything into the certified part, because
+    # its guides must already be numbers
+    system, _, _, relation = _RULES[p]
+    refinement = relation is not None
+    if refinement and not system.integers_only and part.plain:
         raise ValueError(
             "property %s supports only a total partition (no plain part)"
             % p.value
@@ -256,7 +238,6 @@ def verify_closed_set(
                     member=g,
                     option=opt,
                 )
-    system = property_system(p)
     counts = {
         "members": len(members),
         "certified": len(part.certified),
@@ -273,19 +254,15 @@ def verify_closed_set(
         for opt in engine.left_options(g) + engine.right_options(g):
             if opt not in part.certified:
                 return report("hypothesis_options_certified", g)
-    # only the integer refinements support a nontrivial partition with the
-    # second-move condition; the dyadic refinements force everything into the
-    # certified part because their guides must already be numbers
-    if p in _Z_FAMILY:
+    if refinement and system.integers_only:
+        sides = (
+            (engine.left_options, engine.right_options),
+            (engine.right_options, engine.left_options),
+        )
         for g in sorted(part.certified):
-            for gl in engine.left_options(g):
-                for glr in engine.right_options(gl):
-                    if glr not in part.certified:
-                        return report("hypothesis_second_moves", g)
-            for gr in engine.right_options(g):
-                for grl in engine.left_options(gr):
-                    if grl not in part.certified:
-                        return report("hypothesis_second_moves", g)
+            for first, reply in sides:
+                if any(s not in part.certified for h in first(g) for s in reply(h)):
+                    return report("hypothesis_second_moves", g)
     for g in sorted(members):
         if not engine.in_pair_set(g, system):
             return report("conclusion_pair_set", g)
@@ -324,7 +301,7 @@ def check_stop_transfer(
     xpos = engine.number_position(x)
     premises = engine.right_stop(g1, system) <= engine.right_stop(
         g0, system
-    ) and engine.compare(g0, xpos).less_or_fuzzy
+    ) and not engine.leq(xpos, g0)
     if not premises:
         return True
-    return engine.compare(g1, xpos).less_or_fuzzy
+    return not engine.leq(xpos, g1)

@@ -174,7 +174,7 @@ def _render(engine: Engine, g: int, braces_at_top: bool) -> str:
     tree alone, whatever was interned first.
     """
     store = engine.store
-    star = engine.star()
+    star = ((store.zero,), (store.zero,))  # matched by shape, so * is never interned
     text: dict[int, str] = {}
     stack = [g]  # ~h marks a node whose options are all rendered
     while stack:
@@ -189,7 +189,7 @@ def _render(engine: Engine, g: int, braces_at_top: bool) -> str:
         if h in text:
             continue
         if h != g or not braces_at_top:
-            if h == star:
+            if store.node(h) == star:
                 text[h] = "*"
                 continue
             number = store.number_value(h)

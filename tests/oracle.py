@@ -203,6 +203,79 @@ def stop(g: OGame, side: str, system: str = "D"):
     return cached
 
 
+def guides(g: OGame, side: str, system: str = "D") -> frozenset:
+    """The Left ("L") or Right ("R") guide options of g in the system.
+
+    Empty for a member of the system; otherwise the options worth the
+    side's stop, or, when no option is, those whose opponent stop is it.
+    """
+    if number_value(g, system) is not None:
+        return frozenset()
+    target = stop(g, side, system)
+    options, reply = (g.left, "R") if side == "L" else (g.right, "L")
+    worth = frozenset(x for x in options if number_value(x, system) == target)
+    return worth or frozenset(x for x in options if stop(x, reply, system) == target)
+
+
+def less_or_fuzzy(g: OGame, h: OGame) -> bool:
+    return compare(g, h) in ("<", "||")
+
+
+# the day bound of the number search behind "dz" and "dd"
+FIT_SEARCH_DAY = 5
+
+
+def tag_system(tag: str) -> str:
+    """The number system a certificate tag speaks about."""
+    return "Z" if tag in ("dz", "d", "dleq", "dl-lfuz", "dr-lfuz") else "D"
+
+
+def pair_passes(tag: str, gl: OGame, gr: OGame) -> bool:
+    """Whether the guide pair (gl, gr) passes the test of ``tag``.
+
+    dz/dd: some number of the system born by ``FIT_SEARCH_DAY`` is greater
+    than or fuzzy with gl and less than or fuzzy with gr.  d: a Right
+    option of gl is also a Left option of gr.  dleq: a Right option of gl
+    is <= a Left option of gr.  dl-lfuz: a Right option of gl is less than
+    or fuzzy with gr.  dr-lfuz: gl is less than or fuzzy with a Left option
+    of gr.  dl-leq: a Right option of gl is <= gr.  dr-leq: gl is <= a
+    Left option of gr.  tri: gl is less than or fuzzy with gr.
+    """
+    lf = less_or_fuzzy
+    if tag in ("dz", "dd"):
+        numbers = numbers_born_by(FIT_SEARCH_DAY, tag_system(tag))
+        return any(lf(gl, x) and lf(x, gr) for _, x in numbers)
+    if tag == "d":
+        return bool(gl.right & gr.left)
+    if tag == "dleq":
+        return any(leq(a, b) for a in gl.right for b in gr.left)
+    if tag == "dl-lfuz":
+        return any(lf(a, gr) for a in gl.right)
+    if tag == "dr-lfuz":
+        return any(lf(gl, b) for b in gr.left)
+    if tag == "dl-leq":
+        return any(leq(a, gr) for a in gl.right)
+    if tag == "dr-leq":
+        return any(leq(gl, b) for b in gr.left)
+    if tag == "tri":
+        return lf(gl, gr)
+    raise ValueError("unknown tag %r" % (tag,))
+
+
+def has_property(g: OGame, tag: str) -> bool:
+    """Whether g has the certificate property named by ``tag``: g is a
+    member of the tag's system, or some pair of its guides passes the
+    tag's test (``pair_passes``)."""
+    system = tag_system(tag)
+    if number_value(g, system) is not None:
+        return True
+    return any(
+        pair_passes(tag, gl, gr)
+        for gl in guides(g, "L", system)
+        for gr in guides(g, "R", system)
+    )
+
+
 # --- token sliding, re-derived ------------------------------------------
 #
 # A state is (edges, mover_vertex, other_vertex) with edges a sorted tuple

@@ -112,15 +112,16 @@ def test_canonical_uniqueness_sampled_day3(engine, day3_forms, day3_values, to_o
         assert not o.eq(to_oracle(g), to_oracle(h))
 
 
-def test_canonical_has_no_dominated_options(engine, day3_values):
+def test_canonical_has_no_dominated_options(engine, day3_values, to_oracle):
+    """Canonical day-3 values are reduced, judged by the oracle's order: no
+    option is dominated, and none is reversible (no gLR <= g, no gRL >= g)."""
     for g in day3_values:
-        lefts = engine.left_options(g)
-        for a in lefts:
-            for b in lefts:
-                if a != b:
-                    assert not engine.leq(a, b), "dominated Left option survived"
-        rights = engine.right_options(g)
-        for a in rights:
-            for b in rights:
-                if a != b:
-                    assert not engine.leq(b, a), "dominated Right option survived"
+        og = to_oracle(g)
+        for a in og.left:
+            for b in og.left - {a}:
+                assert not o.leq(a, b), "dominated Left option survived"
+            assert not any(o.leq(r, og) for r in a.right), "reversible Left option"
+        for a in og.right:
+            for b in og.right - {a}:
+                assert not o.leq(b, a), "dominated Right option survived"
+            assert not any(o.leq(og, l) for l in a.left), "reversible Right option"

@@ -17,7 +17,10 @@ from diamondcgt.diamond import (
     verify_closed_set,
 )
 from diamondcgt.errors import NotClosedError, PreconditionError
+from diamondcgt.notation import format_canonical
 from diamondcgt.values import Dyadic, NumberSystem
+
+import oracle as o
 
 Z = NumberSystem.Z
 D = NumberSystem.D
@@ -219,6 +222,47 @@ def test_positive_reports_revalidate(engine, day3_values, random_day4_forms):
             report = has_property(engine, g, p)
             if report.holds:
                 _revalidate(engine, g, report)
+
+
+def test_properties_match_the_oracle(
+    engine, day3_values, random_day4_forms, to_oracle
+):
+    """Every tag on every day-3 value and on a seeded day-4 sample, holds
+    and fails alike, against the oracle's definition on its own order,
+    stops and guides.
+
+    The oracle looks for the number of dz/dd among those born by day 5
+    (``oracle.FIT_SEARCH_DAY``), which is complete for forms born by
+    day 4: their guides are born by day 3, so the guides' stops are
+    numbers born by day 3.  The numbers that fit between gl and gr lie
+    between RS(gl) and LS(gr), ends included or not, so when any fits, an
+    end or the simplest number strictly between the ends fits, and either
+    is born by day 4.
+    """
+    rng = random.Random(56)
+    mismatches = []
+    for g in list(day3_values) + rng.sample(random_day4_forms, 200):
+        og = to_oracle(g)
+        assert o.birthday(og) <= 4
+        text = format_canonical(engine, g)
+        for system in (Z, D):
+            guides = guide_options(engine, g, system)
+            for side, found in (("L", guides.left), ("R", guides.right)):
+                if {to_oracle(x) for x in found} != o.guides(og, side, system.name):
+                    mismatches.append((text, "guides", system.name, side))
+        for p in PropertyName:
+            report = has_property(engine, g, p)
+            w = report.witness
+            if report.holds != o.has_property(og, p.value):
+                mismatches.append((text, p.value, "holds" if report.holds else "fails"))
+            elif report.holds and w.member_value is None:
+                gl, gr = to_oracle(w.guide_left), to_oracle(w.guide_right)
+                x = None if w.x is None else o.dyadic(*w.x.pair)
+                if not o.pair_passes(p.value, gl, gr) or x is not None and not (
+                    o.less_or_fuzzy(gl, x) and o.less_or_fuzzy(x, gr)
+                ):
+                    mismatches.append((text, p.value, "witness"))
+    assert not mismatches, "%d mismatches, first %s" % (len(mismatches), mismatches[:5])
 
 
 def test_common_second_move_implies_leq_form(engine, day3_values, random_day4_forms):

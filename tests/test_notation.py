@@ -156,6 +156,17 @@ def test_format_is_tree_faithful(engine):
     assert format_value(engine, pseudo) == "0"
 
 
+def test_printing_interns_nothing():
+    # a fresh store holds no {0|0}, and recognizing * must not add it
+    engine = Engine()
+    two = parse_position(engine, "{1|}")
+    for g, texts in ((engine.zero, ("0", "0", "{|}")), (two, ("2", "2", "{1|}"))):
+        for fmt, text in zip((format_position, format_value, format_canonical), texts):
+            before = engine.node_count()
+            assert fmt(engine, g) == text
+            assert engine.node_count() == before, fmt.__name__
+
+
 def _random_form_specs(rng):
     """Day-1 to day-4 forms as (left, right) index tuples into the list."""
     specs = [((), ())]
