@@ -14,7 +14,12 @@ Everything expensive is memoized against the owning store:
   ``leq``/``compare`` probe an option's row before recursing into it,
 * ``canonical`` rewrites a node into the unique simplest equal-valued form
   by removing dominated options and bypassing reversible ones bottom-up,
-* ``number_value`` decodes canonical shapes into exact dyadic rationals,
+* ``tree_number`` reads the exact dyadic rational that a node's own shape
+  spells when it is a canonical number tree, without canonicalizing or
+  interning, and ``number_value`` is ``tree_number`` of the canonical form,
+* ``number_position`` is the one builder of number trees: it builds them
+  on an explicit stack and registers each as canonical, with its value
+  and its birthday,
 * ``stop`` follows the optimal-stopping recursion for either player in
   either the integer or the dyadic number system,
 * ``guides`` picks a player's options that realize that stop.
@@ -63,42 +68,6 @@ def dy_normalize(num, exp):
 
 def dy_lt(a, b):
     return a[0] << b[1] < b[0] << a[1]
-
-
-def dy_floor(a):
-    return a[0] >> a[1]
-
-
-def dy_ceil(a):
-    return -((-a[0]) >> a[1])
-
-
-def simplest_in_open_interval(a, b, integers_only=False):
-    """Simplest dyadic strictly between a and b, or None when there is none.
-
-    A bound of None is infinite.  With ``integers_only`` only integers
-    count.  Simplest means fewest halvings first, then smallest magnitude,
-    with the positive sign preferred on magnitude ties (only reachable for
-    integers through the zero-in-range case).
-    """
-    lo = None if a is None else dy_floor(a) + 1
-    hi = None if b is None else dy_ceil(b) - 1
-    if lo is None or hi is None or lo <= hi:
-        if (lo is None or lo <= 0) and (hi is None or hi >= 0):
-            return 0, 0
-        return (lo, 0) if lo is not None and lo > 0 else (hi, 0)
-    if integers_only or not dy_lt(a, b):
-        return None
-    an, ae = a
-    bn, be = b
-    d = 1
-    while True:
-        n_lo = ((an << (d - ae)) if d >= ae else (an >> (ae - d))) + 1
-        n_hi = ((bn << (d - be)) if d >= be else -((-bn) >> (be - d))) - 1
-        if n_lo <= n_hi:
-            # at the minimal depth the candidate is unique and odd
-            return dy_normalize(n_lo, d)
-        d += 1
 
 
 class GameStore:
@@ -334,37 +303,51 @@ class GameStore:
         memo[result] = result
         return result
 
-    def number_value(self, g):
-        """The exact dyadic value of g, or None when g is not a number.
+    def tree_number(self, h):
+        """The dyadic pair of h when h is the canonical tree of a number,
+        else None; h's own shape is read, not canonicalized.
 
-        Works by structural decode of the canonical form: the empty
-        position, integer chains, and the two-sided dyadic shape whose
-        value is the simplest rational between its options.
+        The number trees are {|} for 0, {n|} for an integer n >= 0 and
+        {|n} for n <= 0 (worth n + 1 and n - 1), and {a|b} whose options
+        are the neighbours (n - 1)/2**e and (n + 1)/2**e of their midpoint
+        n/2**e with e > 0.
         """
-        c = self.canonical(g)
         memo = self._number
-        if c in memo:
-            return memo[c]
-        left, right = self._nodes[c]
+        if h in memo:
+            return memo[h]
+        left, right = self._nodes[h]
         value = None
         if not (left and right):
-            # {|} is 0, {n|} is n + 1 for n >= 0 and {|n} is n - 1 for n <= 0
             options = left or right
-            step = 1 if left else -1
             if not options:
                 value = (0, 0)
             elif len(options) == 1:
-                a = self.number_value(options[0])
+                a = self.tree_number(options[0])
+                step = 1 if left else -1
                 if a is not None and a[1] == 0 and a[0] * step >= 0:
                     value = (a[0] + step, 0)
         elif len(left) == 1 and len(right) == 1:
-            a = self.number_value(left[0])
-            if a is not None:
-                b = self.number_value(right[0])
-                if b is not None and dy_lt(a, b):
-                    value = simplest_in_open_interval(a, b)
-        memo[c] = value
+            a = self.tree_number(left[0])
+            b = self.tree_number(right[0])
+            if a is not None and b is not None:
+                # on the finer grid of the two, neighbours are one apart
+                e = max(a[1], b[1])
+                lo = a[0] << (e - a[1])
+                if b[0] << (e - b[1]) == lo + 1:
+                    value = (2 * lo + 1, e + 1)
+        memo[h] = value
         return value
+
+    def number_value(self, g):
+        """The exact dyadic value of g, or None when g is not a number."""
+        return self.tree_number(self.canonical(g))
+
+    def member(self, g, integer_system):
+        """g's dyadic pair when g is a number of the system, else None."""
+        v = self.tree_number(self.canonical(g))
+        if v is not None and integer_system and v[1]:
+            return None
+        return v
 
     def stop(self, g, side, integer_system):
         """Best number the player can steer toward, within the given system.
@@ -372,8 +355,8 @@ class GameStore:
         A member of the system is its own stop; otherwise the best opponent
         stop among the player's options, the largest for Left.
         """
-        v = self.number_value(g)
-        if v is not None and (not integer_system or v[1] == 0):
+        v = self.member(g, integer_system)
+        if v is not None:
             return v
         key = (g, integer_system)
         memo = self._stops[side]
@@ -408,8 +391,7 @@ class GameStore:
         got = memo.get(key)
         if got is not None:
             return got
-        v = self.number_value(g)
-        if v is not None and (not integer_system or v[1] == 0):
+        if self.member(g, integer_system) is not None:
             got = ()
         else:
             s = self.stop(g, side, integer_system)
@@ -425,49 +407,42 @@ class GameStore:
         return got
 
     def number_position(self, num, exp=0):
-        """Interned canonical tree for the dyadic num / 2**exp."""
-        num, exp = dy_normalize(num, exp)
-        key = (num, exp)
+        """Interned canonical tree for the dyadic num / 2**exp.
+
+        The trees are built on one explicit stack, the Left neighbour
+        first, and each is registered once: as canonical, with its pair
+        and with its birthday, ceil(|x|) + e for x = n / 2**e.
+        """
         memo = self._numpos
+        key = dy_normalize(num, exp)
         got = memo.get(key)
         if got is not None:
             return got
-        if exp == 0:
-            # the integer n is a chain n levels deep, so build it in a loop
-            # up from the nearest integer already built between 0 and n
-            step = 1 if num > 0 else -1
-            k = num
-            while k != 0 and (k, 0) not in memo:
-                k -= step
-            pos = memo.get((k, 0), self.zero)
-            self._remember_number(pos, k, 0)
-            while k != num:
-                k += step
-                pos = self.intern((pos,), ()) if step > 0 else self.intern((), (pos,))
-                self._remember_number(pos, k, 0)
-                self._birthday[pos] = abs(k)
-            return pos
-        # num is odd, so both neighbours have fewer halvings; build them on
-        # an explicit stack, left neighbour first, in post-order
-        stack = [(num, exp)]
+        canonical, number, birthday = self._canonical, self._number, self._birthday
+        stack = [key]
         while stack:
             n, e = stack[-1]
-            lo = dy_normalize(n - 1, e)
-            hi = dy_normalize(n + 1, e)
-            for key in (lo, hi):
-                if key not in memo:
-                    if key[1] == 0:
-                        self.number_position(*key)
-                    else:
-                        stack.append(key)
-                        break
+            if e:
+                lo, hi = dy_normalize(n - 1, e), dy_normalize(n + 1, e)
             else:
-                stack.pop()
-                pos = self.intern((memo[lo],), (memo[hi],))
-                self._remember_number(pos, n, e)
+                lo = (n - 1, 0) if n > 0 else None
+                hi = (n + 1, 0) if n < 0 else None
+            left = right = ()
+            if lo is not None:
+                left = memo.get(lo)
+                if left is None:
+                    stack.append(lo)
+                    continue
+                left = (left,)
+            if hi is not None:
+                right = memo.get(hi)
+                if right is None:
+                    stack.append(hi)
+                    continue
+                right = (right,)
+            key = stack.pop()
+            pos = self.intern(left, right)
+            memo[key] = canonical[pos] = pos
+            number[pos] = key
+            birthday[pos] = -(-abs(n) >> e) + e
         return pos
-
-    def _remember_number(self, pos, num, exp):
-        self._numpos[(num, exp)] = pos
-        self._canonical[pos] = pos
-        self._number[pos] = (num, exp)

@@ -136,8 +136,8 @@ def has_property(engine: Engine, g: int, p: PropertyName) -> PropertyReport:
     guide pair with a witness makes it hold.
     """
     system = property_system(p)
-    pair = engine.store.number_value(g)
-    if pair is not None and (not system.integers_only or pair[1] == 0):
+    pair = engine.store.member(g, system.integers_only)
+    if pair is not None:
         return PropertyReport(True, p, Witness(member_value=Dyadic.from_pair(pair)))
     guides = guide_options(engine, g, system)
     for gl in guides.left:

@@ -88,12 +88,8 @@ class Engine:
         return self.store.intern((zero,), (zero,))
 
     def as_number(self, g: int, system: NumberSystem = NumberSystem.D) -> Dyadic | None:
-        pair = self.store.number_value(g)
-        if pair is None:
-            return None
-        if system.integers_only and pair[1] != 0:
-            return None
-        return Dyadic.from_pair(pair)
+        pair = self.store.member(g, system.integers_only)
+        return None if pair is None else Dyadic.from_pair(pair)
 
     def classify_value(self, g: int) -> ValueClass:
         pair = self.store.number_value(g)
@@ -132,56 +128,10 @@ class Engine:
         """Simplest number x in the system with lo <|| x <|| hi for all bounds.
 
         ``lo <|| x`` means lo is less than or fuzzy against x, i.e. not
-        x <= lo.  Let a be the largest right stop of the lower bounds and
-        b the smallest left stop of the upper bounds, both taken in the
-        system.  Two stop laws hold for every number x of the system and
-        game g: x > RS(g) rules out x <= g, and x < LS(g) rules out
-        g <= x.  So every x strictly between a and b fits.  Their strict
-        counterparts, x < RS(g) forces x < g and x > LS(g) forces x > g,
-        say that nothing outside [a, b] fits.  The answer is therefore the
-        simplest member of the open interval (a, b), unless an endpoint
-        is simpler and passes the exact check; an endpoint is a stop, so
-        it is a member of the system.  Simpler means fewer halvings, then
-        smaller magnitude, then positive.
+        x <= lo.  By the simplicity theorem, {lo_set | hi_set} is a number
+        exactly when some number fits, and it then equals the simplest
+        one.  The numbers that fit form an interval and integers are born
+        first, so an integer fits only when that simplest number is an
+        integer.  The call interns {lo_set | hi_set}.
         """
-        los = tuple(lo_set)
-        his = tuple(hi_set)
-        store = self.store
-        integer_system = system.integers_only
-        a = None
-        for lo in los:
-            s = store.stop(lo, 1, integer_system)
-            if a is None or _kernel.dy_lt(a, s):
-                a = s
-        b = None
-        for hi in his:
-            s = store.stop(hi, 0, integer_system)
-            if b is None or _kernel.dy_lt(s, b):
-                b = s
-        if a is not None and b is not None and _kernel.dy_lt(b, a):
-            # every number is below a lower bound or above an upper one
-            return None
-        best = _kernel.simplest_in_open_interval(a, b, integer_system)
-        for s in sorted({a, b} - {None}, key=_simplicity):
-            if best is not None and _simplicity(best) < _simplicity(s):
-                break
-            if self._fits(los, his, store.number_position(*s)):
-                best = s
-                break
-        return None if best is None else Dyadic.from_pair(best)
-
-    def _fits(self, los: tuple[int, ...], his: tuple[int, ...], x: int) -> bool:
-        store = self.store
-        for lo in los:
-            if store.leq(x, lo):
-                return False
-        for hi in his:
-            if store.leq(hi, x):
-                return False
-        return True
-
-
-def _simplicity(pair: tuple[int, int]) -> tuple[int, int, bool]:
-    """Sort key of a dyadic pair: fewer halvings, smaller magnitude, positive."""
-    num, exp = pair
-    return exp, abs(num), num < 0
+        return self.as_number(self.store.intern(lo_set, hi_set), system)

@@ -192,8 +192,8 @@ def _render(engine: Engine, g: int, braces_at_top: bool) -> str:
             if store.node(h) == star:
                 text[h] = "*"
                 continue
-            number = store.number_value(h)
-            if number is not None and store.number_position(*number) == h:
+            number = store.tree_number(h)
+            if number is not None:
                 text[h] = str(Dyadic.from_pair(number))
                 continue
         left, right = store.node(h)

@@ -225,6 +225,19 @@ def less_or_fuzzy(g: OGame, h: OGame) -> bool:
 FIT_SEARCH_DAY = 5
 
 
+def simplest_fit(los, his, system: str = "D"):
+    """The earliest-born number of the system, born by ``FIT_SEARCH_DAY``,
+    that is greater than or fuzzy with every lo and less than or fuzzy
+    with every hi, as a Fraction; None when none of them fits."""
+    fits = [
+        (birthday(x), value)
+        for value, x in numbers_born_by(FIT_SEARCH_DAY, system)
+        if all(less_or_fuzzy(lo, x) for lo in los)
+        and all(less_or_fuzzy(x, hi) for hi in his)
+    ]
+    return min(fits, default=(None, None))[1]
+
+
 def tag_system(tag: str) -> str:
     """The number system a certificate tag speaks about."""
     return "Z" if tag in ("dz", "d", "dleq", "dl-lfuz", "dr-lfuz") else "D"
@@ -234,7 +247,7 @@ def pair_passes(tag: str, gl: OGame, gr: OGame) -> bool:
     """Whether the guide pair (gl, gr) passes the test of ``tag``.
 
     dz/dd: some number of the system born by ``FIT_SEARCH_DAY`` is greater
-    than or fuzzy with gl and less than or fuzzy with gr.  d: a Right
+    than or fuzzy with gl and less than or fuzzy with gr (``simplest_fit``).  d: a Right
     option of gl is also a Left option of gr.  dleq: a Right option of gl
     is <= a Left option of gr.  dl-lfuz: a Right option of gl is less than
     or fuzzy with gr.  dr-lfuz: gl is less than or fuzzy with a Left option
@@ -243,8 +256,7 @@ def pair_passes(tag: str, gl: OGame, gr: OGame) -> bool:
     """
     lf = less_or_fuzzy
     if tag in ("dz", "dd"):
-        numbers = numbers_born_by(FIT_SEARCH_DAY, tag_system(tag))
-        return any(lf(gl, x) and lf(x, gr) for _, x in numbers)
+        return simplest_fit((gl,), (gr,), tag_system(tag)) is not None
     if tag == "d":
         return bool(gl.right & gr.left)
     if tag == "dleq":

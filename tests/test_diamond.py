@@ -257,9 +257,8 @@ def test_properties_match_the_oracle(
                 mismatches.append((text, p.value, "holds" if report.holds else "fails"))
             elif report.holds and w.member_value is None:
                 gl, gr = to_oracle(w.guide_left), to_oracle(w.guide_right)
-                x = None if w.x is None else o.dyadic(*w.x.pair)
-                if not o.pair_passes(p.value, gl, gr) or x is not None and not (
-                    o.less_or_fuzzy(gl, x) and o.less_or_fuzzy(x, gr)
+                if not o.pair_passes(p.value, gl, gr) or w.x is not None and (
+                    w.x.as_fraction() != o.simplest_fit((gl,), (gr,), o.tag_system(p.value))
                 ):
                     mismatches.append((text, p.value, "witness"))
     assert not mismatches, "%d mismatches, first %s" % (len(mismatches), mismatches[:5])

@@ -165,6 +165,17 @@ def test_printing_interns_nothing():
             before = engine.node_count()
             assert fmt(engine, g) == text
             assert engine.node_count() == before, fmt.__name__
+    # a tree is printed as it stands, so its canonical form is never built
+    for tree, text in (
+        ("{0,1|}", "{0,1|}"),
+        ("{-1|1}", "{-1|1}"),
+        ("{{|},{{|}|}|{{{|}|}|}}", "{0,1|2}"),
+    ):
+        engine = Engine()
+        g = parse_position(engine, tree)
+        before = engine.node_count()
+        assert format_position(engine, g) == text
+        assert engine.node_count() == before, tree
 
 
 def _random_form_specs(rng):

@@ -61,6 +61,8 @@ def test_deep_dyadic_positions_are_built_without_recursing():
     assert engine.right_options(tiny) == (engine.number_position(Dyadic(1, 4999)),)
     deep = engine.number_position(Dyadic(-12345, 5000))
     assert engine.as_number(deep, D) == Dyadic(-12345, 5000)
+    # each number tree is built with its birthday, ceil(|x|) + 5000 here
+    assert engine.birthday(tiny) == 5001
 
 
 def test_as_number_and_membership(engine):
@@ -140,27 +142,6 @@ def test_pair_versus_number_threshold(engine):
             ypos = engine.number_position(y)
             lhs = engine.compare(pair, ypos).less_or_fuzzy
             assert lhs == (x2 <= y)
-
-
-def test_simplest_in_open_interval_examples():
-    from diamondcgt.kernel import backend
-
-    simplest = backend.simplest_in_open_interval
-    assert simplest((0, 0), (1, 0)) == (1, 1)
-    assert simplest((-1, 0), (1, 0)) == (0, 0)
-    assert simplest((0, 0), (3, 0)) == (1, 0)
-    assert simplest((1, 2), (3, 3)) == (5, 4)
-    assert simplest((-5, 1), (-1, 0)) == (-2, 0)
-    # a missing bound is infinite
-    assert simplest(None, None) == (0, 0)
-    assert simplest(None, (-5, 1)) == (-3, 0)
-    assert simplest((3, 0), None) == (4, 0)
-    assert simplest(None, (1, 2)) == (0, 0)
-    # an empty interval, or one holding no integer when only integers count
-    assert simplest((1, 0), (1, 0)) is None
-    assert simplest((3, 1), (1, 1)) is None
-    assert simplest((0, 0), (1, 0), True) is None
-    assert simplest((1, 1), (5, 1), True) == (1, 0)
 
 
 def test_simplest_between_examples(engine):

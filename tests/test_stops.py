@@ -75,7 +75,7 @@ def test_stop_bounds_force_strict_order(engine, day3_values, random_day4_forms):
                     assert engine.compare(g, xpos) is Relation.GREATER
         # G >= x forces RS(G) >= x and G <= x forces LS(G) <= x, in either
         # system, so x > RS(G) rules out x <= G and x < LS(G) rules out
-        # G <= x; simplest_between rests on these two laws
+        # G <= x
         for system, numbers in ((Z, integers), (D, eighths)):
             ls, rs = engine.left_stop(g, system), engine.right_stop(g, system)
             for x in numbers:
@@ -96,19 +96,23 @@ def test_stop_bounds_force_strict_order(engine, day3_values, random_day4_forms):
     assert fuzzy_checks == 2164
 
 
-def test_simplicity_determines_number_values(engine, day3_forms, random_day4_forms):
+def test_simplicity_determines_number_values(
+    engine, day3_forms, random_day4_forms, to_oracle
+):
+    # the oracle searches the numbers born by day 5, which is complete
+    # here: a fit between a form's options equals the form's value, and
+    # these forms are born by day 4
     rng = random.Random(43)
     suite = rng.sample(day3_forms, 600) + list(random_day4_forms[:300])
     for g in suite:
         lefts, rights = engine.left_options(g), engine.right_options(g)
-        fit = engine.simplest_between(lefts, rights, D)
-        if fit is not None:
-            assert engine.as_number(g, D) == fit
-        fit_z = engine.simplest_between(lefts, rights, Z)
-        if fit_z is not None:
-            # an integer fit is also the simplest dyadic fit
-            assert engine.simplest_between(lefts, rights, D) == fit_z
-            assert engine.as_number(g, D) == fit_z
+        olefts, orights = [to_oracle(x) for x in lefts], [to_oracle(x) for x in rights]
+        for system in (Z, D):
+            fit = engine.simplest_between(lefts, rights, system)
+            expected = o.simplest_fit(olefts, orights, system.name)
+            assert (None if fit is None else fit.as_fraction()) == expected, g
+        # and the simplest dyadic fit is the form's value, or none fits
+        assert o.number_value(to_oracle(g), "D") == expected
 
 
 def test_stops_and_birthdays_match_oracle(
