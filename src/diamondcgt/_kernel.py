@@ -4,9 +4,12 @@ Positions live in a GameStore as append-only nodes addressed by integer id.
 A node is a pair of id tuples (Left options, Right options), deduplicated
 and sorted, so structurally identical game trees share a single id and tree
 isomorphism checks reduce to id equality.  Option ids always point at
-earlier nodes, which makes the option graph acyclic by construction.
+earlier nodes, which makes the option graph acyclic by construction, and
+lets ``intern`` record two facts of a new node from its options' entries:
+its birthday and the number its shape spells, if any.  Such a number tree
+is canonical from birth.  ``birthday`` and ``tree_number`` read them.
 
-Everything expensive is memoized against the owning store:
+Everything else expensive is memoized against the owning store:
 
 * ``leq`` drives the partial order and with it outcomes, domination and
   reversibility checks; its memo is one row per node, row g a dict
@@ -14,12 +17,9 @@ Everything expensive is memoized against the owning store:
   ``leq``/``compare`` probe an option's row before recursing into it,
 * ``canonical`` rewrites a node into the unique simplest equal-valued form
   by removing dominated options and bypassing reversible ones bottom-up,
-* ``tree_number`` reads the exact dyadic rational that a node's own shape
-  spells when it is a canonical number tree, without canonicalizing or
-  interning, and ``number_value`` is ``tree_number`` of the canonical form,
-* ``number_position`` is the one builder of number trees: it builds them
-  on an explicit stack and registers each as canonical, with its value
-  and its birthday,
+* ``number_value`` is ``tree_number`` of the canonical form,
+* ``number_position`` builds number trees on an explicit stack, memoized
+  by the normalized pair,
 * ``stop`` follows the optimal-stopping recursion for either player in
   either the integer or the dyadic number system,
 * ``guides`` picks a player's options that realize that stop.
@@ -91,8 +91,8 @@ class GameStore:
         self._index = {}
         self._leq = []
         self._canonical = {}
-        self._birthday = {}
-        self._number = {}
+        self._birthday = []  # per node: 1 + the largest option birthday, or 0
+        self._number = []  # per node: the pair its shape spells, or None
         self._stops = ({}, {})  # per side: (g, integer_system) -> stop
         self._guides = ({}, {})  # per side: (g, integer_system) -> options
         self._numpos = {}
@@ -107,8 +107,6 @@ class GameStore:
             "nodes": len(self._nodes),
             "leq": sum(len(row) for row in self._leq),
             "canonical": len(self._canonical),
-            "birthday": len(self._birthday),
-            "number": len(self._number),
             "left_stops": len(self._stops[0]),
             "right_stops": len(self._stops[1]),
             "left_guides": len(self._guides[0]),
@@ -117,21 +115,56 @@ class GameStore:
         }
 
     def intern(self, left, right):
-        """Return the id for the position with these option sets."""
+        """Return the id for the position with these option sets.
+
+        A new node's birthday and shape number are recorded here, once,
+        from its options' entries, which are older.  A node whose shape
+        spells a number is that number's canonical tree, so it is also
+        registered as canonical.
+        """
         key = (tuple(sorted(set(left))), tuple(sorted(set(right))))
         got = self._index.get(key)
         if got is not None:
             return got
         new_id = len(self._nodes)
+        birthday = self._birthday
+        day = 0
         for side in key:
             for opt in side:
                 if not 0 <= opt < new_id:
                     raise MalformedGameError(
                         "option %r is not a previously interned position" % (opt,)
                     )
+                if birthday[opt] >= day:
+                    day = birthday[opt] + 1
+        number = self._number
+        value = None
+        left, right = key
+        if not (left and right):
+            options = left or right
+            if not options:
+                value = (0, 0)
+            elif len(options) == 1:
+                a = number[options[0]]
+                step = 1 if left else -1
+                if a is not None and a[1] == 0 and a[0] * step >= 0:
+                    value = (a[0] + step, 0)
+        elif len(left) == 1 and len(right) == 1:
+            a = number[left[0]]
+            b = number[right[0]]
+            if a is not None and b is not None:
+                # on the finer grid of the two, neighbours are one apart
+                e = max(a[1], b[1])
+                lo = a[0] << (e - a[1])
+                if b[0] << (e - b[1]) == lo + 1:
+                    value = (2 * lo + 1, e + 1)
         self._nodes.append(key)
         self._index[key] = new_id
         self._leq.append({})
+        birthday.append(day)
+        number.append(value)
+        if value is not None:
+            self._canonical[new_id] = new_id
         return new_id
 
     def node(self, g):
@@ -197,22 +230,7 @@ class GameStore:
         return _OUTCOME_OF_REL[self.compare(g, self.zero)]
 
     def birthday(self, g):
-        memo = self._birthday
-        got = memo.get(g)
-        if got is not None:
-            return got
-        left, right = self._nodes[g]
-        depth = 0
-        for opt in left:
-            d = self.birthday(opt) + 1
-            if d > depth:
-                depth = d
-        for opt in right:
-            d = self.birthday(opt) + 1
-            if d > depth:
-                depth = d
-        memo[g] = depth
-        return depth
+        return self._birthday[g]
 
     def _dominated(self, side, x, options):
         # an option is dropped when another is at least as good for its
@@ -310,33 +328,9 @@ class GameStore:
         The number trees are {|} for 0, {n|} for an integer n >= 0 and
         {|n} for n <= 0 (worth n + 1 and n - 1), and {a|b} whose options
         are the neighbours (n - 1)/2**e and (n + 1)/2**e of their midpoint
-        n/2**e with e > 0.
+        n/2**e with e > 0.  ``intern`` reads the shape when it creates h.
         """
-        memo = self._number
-        if h in memo:
-            return memo[h]
-        left, right = self._nodes[h]
-        value = None
-        if not (left and right):
-            options = left or right
-            if not options:
-                value = (0, 0)
-            elif len(options) == 1:
-                a = self.tree_number(options[0])
-                step = 1 if left else -1
-                if a is not None and a[1] == 0 and a[0] * step >= 0:
-                    value = (a[0] + step, 0)
-        elif len(left) == 1 and len(right) == 1:
-            a = self.tree_number(left[0])
-            b = self.tree_number(right[0])
-            if a is not None and b is not None:
-                # on the finer grid of the two, neighbours are one apart
-                e = max(a[1], b[1])
-                lo = a[0] << (e - a[1])
-                if b[0] << (e - b[1]) == lo + 1:
-                    value = (2 * lo + 1, e + 1)
-        memo[h] = value
-        return value
+        return self._number[h]
 
     def number_value(self, g):
         """The exact dyadic value of g, or None when g is not a number."""
@@ -410,15 +404,14 @@ class GameStore:
         """Interned canonical tree for the dyadic num / 2**exp.
 
         The trees are built on one explicit stack, the Left neighbour
-        first, and each is registered once: as canonical, with its pair
-        and with its birthday, ceil(|x|) + e for x = n / 2**e.
+        first; ``intern`` records each one's birthday and number and
+        registers it as canonical.
         """
         memo = self._numpos
         key = dy_normalize(num, exp)
         got = memo.get(key)
         if got is not None:
             return got
-        canonical, number, birthday = self._canonical, self._number, self._birthday
         stack = [key]
         while stack:
             n, e = stack[-1]
@@ -442,7 +435,5 @@ class GameStore:
                 right = (right,)
             key = stack.pop()
             pos = self.intern(left, right)
-            memo[key] = canonical[pos] = pos
-            number[pos] = key
-            birthday[pos] = -(-abs(n) >> e) + e
+            memo[key] = pos
         return pos

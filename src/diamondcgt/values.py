@@ -8,11 +8,13 @@ coarse classification of a position's value.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
 from ._kernel import dy_normalize
+from .errors import PreconditionError
 
 
 class NumberSystem(Enum):
@@ -69,9 +71,15 @@ class Dyadic:
         return other <= self
 
     def __str__(self) -> str:
-        if self.exponent == 0:
-            return str(self.numerator)
-        return "%d/%d" % (self.numerator, 1 << self.exponent)
+        try:
+            if self.exponent == 0:
+                return str(self.numerator)
+            return "%d/%d" % (self.numerator, 1 << self.exponent)
+        except ValueError:  # Python's int-to-text digit limit
+            raise PreconditionError(
+                "cannot print a number with an integer of more than %d digits"
+                % sys.get_int_max_str_digits()
+            ) from None
 
     def __repr__(self) -> str:
         return "Dyadic(%s)" % self

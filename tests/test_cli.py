@@ -250,7 +250,7 @@ def test_parse_errors_exit_2(capsys, tmp_path):
     "argv",
     [
         ("compare", "5000", "4999"),
-        ("value", "{" * 1000 + "|}" * 1000),
+        ("value", "{0|" * 1000 + "*" + "}" * 1000),
     ],
     ids=["deep-compare", "deep-braces"],
 )
@@ -259,6 +259,34 @@ def test_too_deep_inputs_exit_2(capsys, argv):
     assert code == 2 and out == ""
     assert err == "error: input nests too deeply\n"
     assert "Traceback" not in err
+
+
+def test_deep_number_trees_answer(capsys):
+    # a number-shaped node is canonical from birth, so 100,000 levels of
+    # {...{|}...|} need no recursion: the tree is the integer 99999
+    braces = "{" * 100_000 + "|}" * 100_000
+    assert _run(capsys, "value", braces) == (0, "99999\n", "")
+    assert _run(capsys, "canonical", braces) == (0, "{99998|}\n", "")
+    assert _run(capsys, "stops", braces) == (0, "LS 99999\nRS 99999\n", "")
+    assert _run(capsys, "diamond", "--property", "dz", braces) == (
+        0, "holds\nmember-value 99999\n", ""
+    )
+
+
+def test_numbers_too_long_to_print_exit_2(capsys):
+    # 2**14284 has 4,300 digits, the most Python turns into text; the
+    # value of {0|1/2**14284} has a denominator of 4,301 digits
+    denominator = 2**14284
+    assert _run(capsys, "value", "1/%d" % denominator) == (
+        0, "1/%d\n" % denominator, ""
+    )
+    too_long = "error: cannot print a number with an integer of more than 4300 digits\n"
+    text = "{0|1/%d}" % denominator
+    for argv in (("value", text), ("stops", text), ("diamond", "--property", "dd", text)):
+        assert _run(capsys, *argv) == (2, "", too_long)
+    # 20,000 levels of {0|...{0|}...} spell 1/2**19999 at birth
+    chain = "{0|" * 20_000 + "}" * 20_000
+    assert _run(capsys, "value", chain) == (2, "", too_long)
 
 
 @pytest.mark.parametrize(

@@ -188,7 +188,7 @@ def test_stats_count_the_day2_order_memo():
     # would mean the per-node rows computed pairs nobody asked for
     assert stats["leq"] == 500
     assert stats["canonical"] == 256
-    assert stats["number"] == stats["left_stops"] == stats["right_stops"] == 0
+    assert stats["left_stops"] == stats["right_stops"] == 0
     assert stats["left_guides"] == stats["right_guides"] == 0
 
 

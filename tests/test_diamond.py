@@ -224,12 +224,40 @@ def test_positive_reports_revalidate(engine, day3_values, random_day4_forms):
                 _revalidate(engine, g, report)
 
 
+def _star_forms(engine, day2_values):
+    """Day-4 forms whose options straddle several numbers.
+
+    {a*|b*} for numbers a < b born by day 2: every number of [a, b] fits
+    between the options, so the form is the simplest of them, and the
+    membership branch answers for it.  And
+    {a*, v | a*, w} for a = -1/2 or 1/2 and non-number day-2 values v, w:
+    140 of these 450 equal a, which is not an integer, and some of those
+    have a Z guide pair that admits two integers, such as {0|-1} against
+    {0|*}, so a dz witness other than the simplest would show.
+    """
+    numbers = [v for v in day2_values if engine.as_number(v) is not None]
+    others = [v for v in day2_values if engine.as_number(v) is None]
+    star = {v: engine.intern((v,), (v,)) for v in numbers}
+    forms = [
+        engine.intern((star[a],), (star[b],))
+        for a in numbers
+        for b in numbers
+        if engine.as_number(a) < engine.as_number(b)
+    ]
+    for a in (Dyadic(-1, 1), Dyadic(1, 1)):
+        a_star = star[engine.number_position(a)]
+        forms += [
+            engine.intern((a_star, v), (a_star, w)) for v in others for w in others
+        ]
+    return forms
+
+
 def test_properties_match_the_oracle(
-    engine, day3_values, random_day4_forms, to_oracle
+    engine, day2_values, day3_values, random_day4_forms, to_oracle
 ):
-    """Every tag on every day-3 value and on a seeded day-4 sample, holds
-    and fails alike, against the oracle's definition on its own order,
-    stops and guides.
+    """Every tag on every day-3 value, on a seeded day-4 sample and on the
+    star forms above, holds and fails alike, against the oracle's
+    definition on its own order, stops and guides.
 
     The oracle looks for the number of dz/dd among those born by day 5
     (``oracle.FIT_SEARCH_DAY``), which is complete for forms born by
@@ -241,7 +269,8 @@ def test_properties_match_the_oracle(
     """
     rng = random.Random(56)
     mismatches = []
-    for g in list(day3_values) + rng.sample(random_day4_forms, 200):
+    suite = list(day3_values) + rng.sample(random_day4_forms, 200)
+    for g in suite + _star_forms(engine, day2_values):
         og = to_oracle(g)
         assert o.birthday(og) <= 4
         text = format_canonical(engine, g)

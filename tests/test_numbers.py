@@ -7,6 +7,7 @@ import random
 import pytest
 
 from diamondcgt.engine import Engine
+from diamondcgt.notation import parse_position
 from diamondcgt.values import Dyadic, NumberSystem, Relation, ValueKind
 
 import oracle as o
@@ -61,8 +62,20 @@ def test_deep_dyadic_positions_are_built_without_recursing():
     assert engine.right_options(tiny) == (engine.number_position(Dyadic(1, 4999)),)
     deep = engine.number_position(Dyadic(-12345, 5000))
     assert engine.as_number(deep, D) == Dyadic(-12345, 5000)
-    # each number tree is built with its birthday, ceil(|x|) + 5000 here
-    assert engine.birthday(tiny) == 5001
+    # intern records each birthday, ceil(|x|) + 5000 here
+    assert engine.birthday(tiny) == engine.birthday(deep) == 5001
+
+
+def test_shape_facts_of_a_deep_chain_are_read_without_recursing():
+    engine = Engine()  # keep the shared session universe small
+    depth = 100_000
+    chain = parse_position(engine, "{0|" * depth + "*" + "}" * depth)
+    assert engine.birthday(chain) == depth + 1
+    assert engine.store.tree_number(chain) is None
+    # {0|...{0|}...} is number-shaped at every level: 1, 1/2, 1/4, ...
+    halves = parse_position(engine, "{0|" * 50 + "}" * 50)
+    assert engine.store.tree_number(halves) == (1, 49)
+    assert engine.canonical_form(halves) == halves
 
 
 def test_as_number_and_membership(engine):
