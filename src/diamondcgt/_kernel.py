@@ -17,12 +17,11 @@ Everything else expensive is memoized against the owning store:
   ``leq``/``compare`` probe an option's row before recursing into it,
 * ``canonical`` rewrites a node into the unique simplest equal-valued form
   by removing dominated options and bypassing reversible ones bottom-up,
-* ``number_value`` is ``tree_number`` of the canonical form,
 * ``number_position`` builds number trees on an explicit stack, memoized
   by the normalized pair,
-* ``stop`` follows the optimal-stopping recursion for either player in
-  either the integer or the dyadic number system,
-* ``guides`` picks a player's options that realize that stop.
+* ``stop`` and ``guides`` read one recursion for either player in either
+  the integer or the dyadic number system: the optimal stop and the
+  player's options that realize it, found in one pass over the options.
 
 ``compare`` makes one ``leq`` call instead of two when g <= h, g != h and
 both are canonical: distinct canonical forms are never equal, so the
@@ -81,7 +80,6 @@ class GameStore:
         "_birthday",
         "_number",
         "_stops",
-        "_guides",
         "_numpos",
         "zero",
     )
@@ -93,8 +91,7 @@ class GameStore:
         self._canonical = {}
         self._birthday = []  # per node: 1 + the largest option birthday, or 0
         self._number = []  # per node: the pair its shape spells, or None
-        self._stops = ({}, {})  # per side: (g, integer_system) -> stop
-        self._guides = ({}, {})  # per side: (g, integer_system) -> options
+        self._stops = ({}, {})  # per side: (g, integer_system) -> (stop, guides)
         self._numpos = {}
         self.zero = self.intern((), ())
 
@@ -109,8 +106,6 @@ class GameStore:
             "canonical": len(self._canonical),
             "left_stops": len(self._stops[0]),
             "right_stops": len(self._stops[1]),
-            "left_guides": len(self._guides[0]),
-            "right_guides": len(self._guides[1]),
             "number_positions": len(self._numpos),
         }
 
@@ -289,10 +284,13 @@ class GameStore:
     def canonical(self, g):
         """The unique simplest position equal to g.
 
-        Canonicalizes the options first, then alternates domination removal
-        and reversibility bypass until both fix.  Every intermediate form
-        has the same value as g, so all of them share the final answer in
-        the memo table.
+        Canonicalizes the options first, then removes dominated options,
+        bypasses reversible ones and, if the bypass changed the form,
+        removes dominated options once more.  That is enough: one removal
+        pass drops every dominated option, and a removal changes neither
+        the value nor any remaining option, so it makes none reversible.
+        Every intermediate form has the same value as g, so all of them
+        share the final answer in the memo table.
         """
         memo = self._canonical
         got = memo.get(g)
@@ -301,21 +299,16 @@ class GameStore:
         left0, right0 = self._nodes[g]
         left = {self.canonical(x) for x in left0}
         right = {self.canonical(x) for x in right0}
-        cur = self.intern(left, right)
-        stages = [g]
-        while True:
-            got = memo.get(cur)
-            if got is not None:
-                result = got
+        stages = [g, self.intern(left, right)]
+        for step in (self.remove_dominated, self.bypass_reversible, self.remove_dominated):
+            result = memo.get(stages[-1])
+            if result is not None:
                 break
-            stages.append(cur)
-            nxt = self.remove_dominated(cur)
-            if nxt == cur:
-                nxt = self.bypass_reversible(cur)
-            if nxt == cur:
-                result = cur
+            result = step(stages[-1])
+            if result != stages[-1]:
+                stages.append(result)
+            elif step == self.bypass_reversible:
                 break
-            cur = nxt
         for stage in stages:
             memo[stage] = result
         memo[result] = result
@@ -331,10 +324,6 @@ class GameStore:
         n/2**e with e > 0.  ``intern`` reads the shape when it creates h.
         """
         return self._number[h]
-
-    def number_value(self, g):
-        """The exact dyadic value of g, or None when g is not a number."""
-        return self.tree_number(self.canonical(g))
 
     def member(self, g, integer_system):
         """g's dyadic pair when g is a number of the system, else None."""
@@ -352,6 +341,24 @@ class GameStore:
         v = self.member(g, integer_system)
         if v is not None:
             return v
+        return self._stop_guides(g, side, integer_system)[0]
+
+    def guides(self, g, side, integer_system):
+        """The player's options that realize the stop, within the system.
+
+        A member of the system has none.  Otherwise they are the options
+        that are members worth the stop, failing that the options whose
+        opponent stop is the stop.  Pairs are normalized, so tuple
+        equality is exact.
+        """
+        if self.member(g, integer_system) is not None:
+            return ()
+        return self._stop_guides(g, side, integer_system)[1]
+
+    def _stop_guides(self, g, side, integer_system):
+        # (stop, guides) of a non-member from one pass over the player's
+        # options: those reaching the best opponent stop so far, in order,
+        # and the members among them; a member's opponent stop is its value
         key = (g, integer_system)
         memo = self._stops[side]
         got = memo.get(key)
@@ -366,38 +373,15 @@ class GameStore:
             )
         best = None
         for x in options:
-            s = self.stop(x, 1 - side, integer_system)
+            v = self.member(x, integer_system)
+            s = v if v is not None else self._stop_guides(x, 1 - side, integer_system)[0]
             if best is None or (dy_lt(best, s) if side == 0 else dy_lt(s, best)):
-                best = s
-        memo[key] = best
-        return best
-
-    def guides(self, g, side, integer_system):
-        """The player's options that realize the stop, within the system.
-
-        A member of the system has none.  Otherwise they are the options
-        whose value is the stop, failing that the options whose opponent
-        stop is.  Pairs are normalized, so tuple equality is exact, and in
-        the integer system a non-integer value never equals the stop.
-        """
-        key = (g, integer_system)
-        memo = self._guides[side]
-        got = memo.get(key)
-        if got is not None:
-            return got
-        if self.member(g, integer_system) is not None:
-            got = ()
-        else:
-            s = self.stop(g, side, integer_system)
-            options = self._nodes[g][side]
-            number_value = self.number_value
-            got = tuple(x for x in options if number_value(x) == s)
-            if not got:
-                stop = self.stop
-                got = tuple(
-                    x for x in options if stop(x, 1 - side, integer_system) == s
-                )
-        memo[key] = got
+                best, reach, worth = s, [], []
+            if s == best:
+                reach.append(x)
+                if v is not None:
+                    worth.append(x)
+        got = memo[key] = (best, tuple(worth or reach))
         return got
 
     def number_position(self, num, exp=0):

@@ -77,8 +77,8 @@ class GuideOptions:
     side holds the Left options whose value equals the position's left
     stop when such options exist, else every Left option whose right stop
     equals it; the Right side dually.  Both tuples are read from the
-    kernel's guide memo (``GameStore.guides``), computed once per
-    position, side and system.
+    kernel's stop memo (``GameStore.guides``), filled in the same pass
+    as the stop, once per position, side and system.
     """
 
     left: tuple[int, ...]

@@ -92,14 +92,14 @@ class Engine:
         return None if pair is None else Dyadic.from_pair(pair)
 
     def classify_value(self, g: int) -> ValueClass:
-        pair = self.store.number_value(g)
+        pair = self.store.member(g, False)
         if pair is not None:
             return ValueClass.make_number(Dyadic.from_pair(pair))
         c = self.store.canonical(g)
         left, right = self.store.node(c)
         if len(left) == 1 and len(right) == 1:
-            a = self.store.number_value(left[0])
-            b = self.store.number_value(right[0])
+            a = self.store.member(left[0], False)
+            b = self.store.member(right[0], False)
             if a is not None and b is not None:
                 return ValueClass.make_pair(Dyadic.from_pair(a), Dyadic.from_pair(b))
         return ValueClass.make_other()

@@ -141,12 +141,12 @@ def test_guide_options_match_the_rule(engine, day3_values, random_day4_forms):
             first[g, system] = guides
     # a second call reads the kernel memo: same tuples, no new entries
     before = engine.stats()
-    assert before["left_guides"] > 0 and before["right_guides"] > 0
+    assert before["left_stops"] > 0 and before["right_stops"] > 0
     for (g, system), guides in first.items():
         assert guide_options(engine, g, system) == guides
     after = engine.stats()
-    assert after["left_guides"] == before["left_guides"]
-    assert after["right_guides"] == before["right_guides"]
+    assert after["left_stops"] == before["left_stops"]
+    assert after["right_stops"] == before["right_stops"]
 
 
 def test_has_diamond_examples(engine):
