@@ -13,8 +13,12 @@ Everything else expensive is memoized against the owning store:
 
 * ``leq`` drives the partial order and with it outcomes, domination and
   reversibility checks; its memo is one row per node, row g a dict
-  mapping h to whether g <= h, appended when ``intern`` creates g, and
-  ``leq``/``compare`` probe an option's row before recursing into it,
+  mapping h to whether g <= h, appended when ``intern`` creates g.  The
+  one order recursion, ``_scan``, probes an option's row before recursing
+  into it and stores the answers it finds there.  ``leq`` also stores the
+  pair it was asked, which the canonical rules ask again; ``compare`` and
+  ``outcome`` leave their own pair out, so a workload of one-off compares
+  keeps only what the recursion reads again,
 * ``canonical`` rewrites a node into the unique simplest equal-valued form
   by removing dominated options and bypassing reversible ones bottom-up,
 * ``number_position`` builds number trees on an explicit stack, memoized
@@ -23,8 +27,8 @@ Everything else expensive is memoized against the owning store:
   the integer or the dyadic number system: the optimal stop and the
   player's options that realize it, found in one pass over the options.
 
-``compare`` makes one ``leq`` call instead of two when g <= h, g != h and
-both are canonical: distinct canonical forms are never equal, so the
+``compare`` answers one order question instead of two when g <= h, g != h
+and both are canonical: distinct canonical forms are never equal, so the
 answer is less without asking whether h <= g.
 
 Each rule is written once for both players and takes a ``side``, 0 for
@@ -172,51 +176,57 @@ class GameStore:
         return self._nodes[g][1]
 
     def leq(self, g, h):
-        """Whether g <= h.
+        """Whether g <= h, stored in row g: the canonical and domination
+        rules ask the same pairs again."""
+        row = self._leq[g]
+        got = row.get(h)
+        if got is None:
+            got = row[h] = self._scan(g, h)
+        return got
 
-        Fails exactly when Left already has a move in g at least as good as
-        all of h (some gL >= h) or Right has a move in h at most g (some
-        hR <= g).  Each option's answer is read from its row first, so the
-        recursion only runs for pairs never computed.
-        """
+    def _scan(self, g, h):
+        # the order rule for a pair missing from its row: g <= h fails
+        # exactly when some gL >= h or some hR <= g.  Each option's answer
+        # is read from its row first and stored there on a miss, so the
+        # recursion only runs for pairs never computed; the caller decides
+        # whether to store the answer for (g, h) itself
         rows = self._leq
-        row = rows[g]
-        cached = row.get(h)
-        if cached is not None:
-            return cached
         nodes = self._nodes
-        result = True
         hrow = rows[h]
         for gl in nodes[g][0]:
             got = hrow.get(gl)
             if got is None:
-                got = self.leq(h, gl)
+                got = hrow[gl] = self._scan(h, gl)
             if got:
-                result = False
-                break
-        if result:
-            for hr in nodes[h][1]:
-                got = rows[hr].get(g)
-                if got is None:
-                    got = self.leq(hr, g)
-                if got:
-                    result = False
-                    break
-        row[h] = result
-        return result
+                return False
+        for hr in nodes[h][1]:
+            got = rows[hr].get(g)
+            if got is None:
+                got = rows[hr][g] = self._scan(hr, g)
+            if got:
+                return False
+        return True
 
     def compare(self, g, h):
+        """The relation of g to h: less, greater, equal or fuzzy.
+
+        Both rows are read first.  A pair missing from them is scanned
+        without storing its own answer, which keeps an all-pairs workload
+        from filling the memo with pairs never read again; asking again
+        costs one row read per option, because the pairs the recursion
+        met are stored as in ``leq``.
+        """
         rows = self._leq
         a = rows[g].get(h)
         if a is None:
-            a = self.leq(g, h)
+            a = self._scan(g, h)
         if a and g != h:
             canonical = self._canonical
             if canonical.get(g) == g and canonical.get(h) == h:
                 return REL_LESS
         b = rows[h].get(g)
         if b is None:
-            b = self.leq(h, g)
+            b = self._scan(h, g)
         if a:
             return REL_EQUAL if b else REL_LESS
         return REL_GREATER if b else REL_FUZZY

@@ -168,26 +168,30 @@ def parse_position(engine: Engine, text: str) -> int:
 def _render(engine: Engine, g: int, braces_at_top: bool) -> str:
     """The text of ``g``; each option list is sorted by the options' text.
 
-    Nodes are rendered bottom-up on an explicit stack, each once per call,
-    so a shared subtree costs one rendering and the printer never recurses.
-    Sorting by text rather than by id makes the string a function of the
-    tree alone, whatever was interned first.
+    One walk on an explicit stack gives numerals and ``*`` their text,
+    lists the braced nodes so that every option comes before the nodes
+    that list it, and counts each node's distinct parents.  A loop then
+    renders the braced nodes in that order and drops an option's text once
+    its last parent has used it.  So a shared subtree costs one rendering,
+    the printer never recurses, and the texts it holds at once are never
+    longer than the output.  Sorting by text rather than by id makes the
+    string a function of the tree alone, whatever was interned first.
     """
     store = engine.store
     star = ((store.zero,), (store.zero,))  # matched by shape, so * is never interned
     text: dict[int, str] = {}
-    stack = [g]  # ~h marks a node whose options are all rendered
+    parents: dict[int, int] = {}
+    order = []  # the braced nodes, each after its options
+    seen = set()
+    stack = [g]  # ~h marks a braced node whose options are all listed
     while stack:
         h = stack.pop()
         if h < 0:
-            left, right = store.node(~h)
-            text[~h] = "{%s|%s}" % (
-                ",".join(sorted([text[o] for o in left])),
-                ",".join(sorted([text[o] for o in right])),
-            )
+            order.append(~h)
             continue
-        if h in text:
+        if h in seen:
             continue
+        seen.add(h)
         if h != g or not braces_at_top:
             if store.node(h) == star:
                 text[h] = "*"
@@ -197,8 +201,21 @@ def _render(engine: Engine, g: int, braces_at_top: bool) -> str:
                 text[h] = str(Dyadic.from_pair(number))
                 continue
         left, right = store.node(h)
+        options = set(left + right)
+        for o in options:
+            parents[o] = parents.get(o, 0) + 1
         stack.append(~h)
-        stack += [o for o in left + right if o not in text]
+        stack += [o for o in options if o not in seen]
+    for h in order:
+        left, right = store.node(h)
+        text[h] = "{%s|%s}" % (
+            ",".join(sorted([text[o] for o in left])),
+            ",".join(sorted([text[o] for o in right])),
+        )
+        for o in set(left + right):
+            parents[o] -= 1
+            if not parents[o]:
+                del text[o]
     return text[g]
 
 

@@ -184,9 +184,11 @@ def test_stats_count_the_day2_order_memo():
     stats = engine.stats()
     assert len(values) == 22
     assert stats["nodes"] == engine.node_count() == 256
-    # 500 pairs is what the order recursion needs here; more entries
-    # would mean the per-node rows computed pairs nobody asked for
-    assert stats["leq"] == 500
+    # canonicalizing stores 43 pairs, and the compares add the 133 that
+    # their recursion met on an option.  compare stores none of the 484
+    # pairs asked of it; 324 of them no recursion met, and storing them
+    # would make 500
+    assert stats["leq"] == 176
     assert stats["canonical"] == 256
     assert stats["left_stops"] == stats["right_stops"] == 0
     assert set(stats) == {
@@ -198,8 +200,10 @@ def test_stats_count_the_day3_canonicalization():
     # a fresh engine that builds every value born by day 3 as the forms
     # benchmark does: forms over antichains of the day-2 values, then
     # canonicalized.  A form is cleared of dominated options once, and
-    # again only after a bypass changed it; 19,661 order pairs would mean
-    # a removal ran on a form it had already cleared
+    # again only after a bypass changed it.  The antichain build's
+    # compares store none of their own pairs; storing them would make
+    # 19,562 order pairs, and a removal run again on a form it had
+    # already cleared would add more
     engine = Engine()
     zero = engine.zero
     day1 = (
@@ -230,7 +234,41 @@ def test_stats_count_the_day3_canonicalization():
     assert len(values) == 1474
     assert stats["nodes"] == 10037
     assert stats["canonical"] == 9986
-    assert stats["leq"] == 19562
+    assert stats["leq"] == 19377
+
+
+def _fresh_pair():
+    # a fresh engine and two ids of day 2 that no order question has met
+    engine = Engine()
+    zero = engine.zero
+    one = engine.intern((zero,), ())
+    star = engine.intern((zero,), (zero,))
+    g = engine.intern((one,), (star,))
+    h = engine.intern((star,), (zero,))
+    return engine, g, h
+
+
+def test_compare_stores_what_its_recursion_met_but_not_its_pair():
+    engine, g, h = _fresh_pair()
+    rows = engine.store._leq
+    relation = engine.compare(g, h)
+    assert h not in rows[g] and g not in rows[h]
+    # the option pairs the recursion met are stored, so asking again
+    # reads them and stores nothing new
+    stored = engine.stats()["leq"]
+    assert stored > 0
+    assert engine.compare(g, h) is relation
+    assert engine.stats()["leq"] == stored
+    assert h not in rows[g] and g not in rows[h]
+
+
+def test_leq_stores_the_pair_it_was_asked():
+    engine, g, h = _fresh_pair()
+    answer = engine.leq(g, h)
+    assert engine.store._leq[g][h] == answer
+    stored = engine.stats()["leq"]
+    assert engine.leq(g, h) == answer
+    assert engine.stats()["leq"] == stored
 
 
 _RELATION_OF_LEQS = {

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import tracemalloc
 
 import pytest
 
@@ -131,6 +132,23 @@ def test_non_dyadic_denominators_are_rejected(engine):
 def test_deep_nesting_parses_without_recursing(engine):
     text = "{" * 20_000 + "|}" * 20_000
     assert parse_position(engine, text) == engine.number_position(19_999)
+
+
+def test_deep_chain_prints_in_memory_linear_in_its_text():
+    # each level's text holds every level below it, so a printer that
+    # kept all of them would hold about 190 MB here
+    depth = 10_000
+    text = "{0|" * depth + "*" + "}" * depth
+    engine = Engine()
+    g = parse_position(engine, text)
+    tracemalloc.start()
+    try:
+        printed = format_position(engine, g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert printed == text
+    assert peak < 5 * 2**20
 
 
 def test_formatting_examples(engine):
