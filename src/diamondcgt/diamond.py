@@ -121,6 +121,10 @@ class PropertyReport:
     witness: Witness | None = None
 
 
+# the one report of each property failing: it names no position
+_FAILED = {p: PropertyReport(False, p) for p in PropertyName}
+
+
 def has_diamond(engine: Engine, g: int, system: NumberSystem) -> PropertyReport:
     """The general certificate: membership in the system, or a guide pair
     with some number of the system strictly usable between them; this is
@@ -133,19 +137,29 @@ def has_property(engine: Engine, g: int, p: PropertyName) -> PropertyReport:
     """Whether ``g`` has property ``p``, with a witness when it does.
 
     A member of the property's system holds outright; otherwise the first
-    guide pair with a witness makes it hold.
+    guide pair with a witness makes it hold.  Reports that name no
+    position are shared: a member's report is built once per value and
+    tag and kept in ``engine.member_reports``, and every failure of ``p``
+    is one constant report.  A report with a guide pair is built per call.
     """
-    system = property_system(p)
-    pair = engine.store.member(g, system.integers_only)
+    integer_system = _RULES[p][0].integers_only
+    store = engine.store
+    pair = store.member(g, integer_system)
     if pair is not None:
-        return PropertyReport(True, p, Witness(member_value=Dyadic.from_pair(pair)))
-    guides = guide_options(engine, g, system)
-    for gl in guides.left:
-        for gr in guides.right:
+        key = (pair, p)
+        report = engine.member_reports.get(key)
+        if report is None:
+            witness = Witness(member_value=engine.dyadic(pair))
+            report = engine.member_reports[key] = PropertyReport(True, p, witness)
+        return report
+    left = store.guides(g, 0, integer_system)
+    right = store.guides(g, 1, integer_system)
+    for gl in left:
+        for gr in right:
             witness = _pair_witness(engine, p, gl, gr)
             if witness is not None:
                 return PropertyReport(True, p, witness)
-    return PropertyReport(False, p)
+    return _FAILED[p]
 
 
 def _pair_witness(engine: Engine, p: PropertyName, gl: int, gr: int) -> Witness | None:

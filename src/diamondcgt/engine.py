@@ -22,12 +22,24 @@ _OUT = (Outcome.LEFT_WINS, Outcome.RIGHT_WINS, Outcome.PREVIOUS_WINS, Outcome.NE
 
 
 class Engine:
-    """One universe of interned positions plus all derived operations."""
+    """One universe of interned positions plus all derived operations.
+
+    Typed answers are built once per engine.  Each normalized kernel
+    (numerator, exponent) pair becomes one ``Dyadic`` the first time it is
+    asked for, and ``member_reports`` holds the reports that
+    ``diamond.has_property`` gives members, one per value and tag.  They
+    are frozen, so repeated calls give equal objects, which may also be the
+    same object.  Both dicts grow with the values asked about and die with
+    the engine.
+    """
 
     kernel_name = KERNEL_BACKEND
 
     def __init__(self):
         self.store = _kernel.GameStore()
+        self._dyadics: dict[tuple[int, int], Dyadic] = {}
+        # (pair, tag) -> the member report of diamond.has_property
+        self.member_reports: dict = {}
 
     # -- structure ---------------------------------------------------------
 
@@ -78,6 +90,13 @@ class Engine:
 
     # -- numbers -----------------------------------------------------------
 
+    def dyadic(self, pair: tuple[int, int]) -> Dyadic:
+        """The ``Dyadic`` of a normalized kernel pair, one per pair."""
+        value = self._dyadics.get(pair)
+        if value is None:
+            value = self._dyadics[pair] = Dyadic.from_pair(pair)
+        return value
+
     def number_position(self, value: Dyadic | int) -> int:
         if isinstance(value, int):
             return self.store.number_position(value, 0)
@@ -89,19 +108,19 @@ class Engine:
 
     def as_number(self, g: int, system: NumberSystem = NumberSystem.D) -> Dyadic | None:
         pair = self.store.member(g, system.integers_only)
-        return None if pair is None else Dyadic.from_pair(pair)
+        return None if pair is None else self.dyadic(pair)
 
     def classify_value(self, g: int) -> ValueClass:
         pair = self.store.member(g, False)
         if pair is not None:
-            return ValueClass.make_number(Dyadic.from_pair(pair))
+            return ValueClass.make_number(self.dyadic(pair))
         c = self.store.canonical(g)
         left, right = self.store.node(c)
         if len(left) == 1 and len(right) == 1:
             a = self.store.member(left[0], False)
             b = self.store.member(right[0], False)
             if a is not None and b is not None:
-                return ValueClass.make_pair(Dyadic.from_pair(a), Dyadic.from_pair(b))
+                return ValueClass.make_pair(self.dyadic(a), self.dyadic(b))
         return ValueClass.make_other()
 
     def in_pair_set(self, g: int, system: NumberSystem) -> bool:
@@ -112,10 +131,10 @@ class Engine:
     # -- stops --------------------------------------------------------------
 
     def left_stop(self, g: int, system: NumberSystem) -> Dyadic:
-        return Dyadic.from_pair(self.store.stop(g, 0, system.integers_only))
+        return self.dyadic(self.store.stop(g, 0, system.integers_only))
 
     def right_stop(self, g: int, system: NumberSystem) -> Dyadic:
-        return Dyadic.from_pair(self.store.stop(g, 1, system.integers_only))
+        return self.dyadic(self.store.stop(g, 1, system.integers_only))
 
     # -- simplest number between bounds ------------------------------------
 

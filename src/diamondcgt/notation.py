@@ -26,7 +26,6 @@ import re
 
 from .engine import Engine
 from .errors import GameParseError, NonDyadicDenominatorError
-from .values import Dyadic
 
 _BAD_CHARACTER = re.compile(r"[^\s\d{}|,*/-]")
 _TOKEN = re.compile(r"\d+|\S")
@@ -80,8 +79,9 @@ def parse_position(engine: Engine, text: str) -> int:
     NonDyadicDenominatorError for a denominator that is not a power of
     two.  Each game is interned the moment it is complete, so options are
     built left to right before the game that holds them, and options
-    completed before a parse error stay interned.  Open braces sit on an
-    explicit stack, so nesting depth costs no recursion.
+    completed before a parse error stay interned; ``*`` is interned once,
+    at its first occurrence.  Open braces sit on an explicit stack, so
+    nesting depth costs no recursion.
     """
     bad = _BAD_CHARACTER.search(text)
     if bad is not None:
@@ -90,6 +90,7 @@ def parse_position(engine: Engine, text: str) -> int:
     tokens.append("")  # end of input
     stack: list[list] = []  # open braces, innermost last: [left, right, on_right]
     closer = None  # the token that may end an empty option list here
+    star = None  # interned at the first ``*``
     i = 0
     while True:
         # a game starts at tokens[i]
@@ -100,7 +101,9 @@ def parse_position(engine: Engine, text: str) -> int:
             i += 1
             continue
         if tok == "*":
-            game = engine.star()
+            if star is None:
+                star = engine.star()
+            game = star
             i += 1
         elif tok == "-" or tok.isdecimal():
             start = i
@@ -198,7 +201,7 @@ def _render(engine: Engine, g: int, braces_at_top: bool) -> str:
                 continue
             number = store.tree_number(h)
             if number is not None:
-                text[h] = str(Dyadic.from_pair(number))
+                text[h] = str(engine.dyadic(number))
                 continue
         left, right = store.node(h)
         options = set(left + right)

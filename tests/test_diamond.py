@@ -16,8 +16,9 @@ from diamondcgt.diamond import (
     property_system,
     verify_closed_set,
 )
+from diamondcgt.engine import Engine
 from diamondcgt.errors import NotClosedError, PreconditionError
-from diamondcgt.notation import format_canonical
+from diamondcgt.notation import format_canonical, format_position, parse_position
 from diamondcgt.values import Dyadic, NumberSystem
 
 import oracle as o
@@ -193,6 +194,66 @@ def test_has_property_examples(engine):
     for g in positions:
         for tag, system in ((PropertyName.DIAMOND_Z, Z), (PropertyName.DIAMOND_D, D)):
             assert has_property(engine, g, tag) == has_diamond(engine, g, system)
+
+
+def _typed_numbers(engine, g):
+    """Every Dyadic the typed API gives for g, its nine reports included."""
+    numbers = [engine.as_number(g, Z), engine.as_number(g, D)]
+    for system in (Z, D):
+        numbers += [engine.left_stop(g, system), engine.right_stop(g, system)]
+    value = engine.classify_value(g)
+    numbers += [value.number, value.left, value.right]
+    for p in PropertyName:
+        witness = has_property(engine, g, p).witness
+        if witness is not None:
+            numbers += [witness.x, witness.member_value]
+    return [x for x in numbers if x is not None]
+
+
+def test_typed_answers_are_built_once_per_engine(monkeypatch, engine, day3_values):
+    texts = [format_position(engine, g) for g in day3_values]
+    built = []
+    post_init = Dyadic.__post_init__
+
+    def counting(self):
+        post_init(self)
+        built.append(self.pair)
+
+    monkeypatch.setattr(Dyadic, "__post_init__", counting)
+    firsts = []
+    for _ in range(2):
+        fresh = Engine()
+        built.clear()
+        seen = {}
+        for text in texts:
+            for x in _typed_numbers(fresh, parse_position(fresh, text)):
+                assert seen.setdefault(x.pair, x) is x
+        # one Dyadic per distinct pair, and only the pairs handed out
+        assert sorted(built) == sorted(seen)
+        firsts.append(seen)
+    # the second engine built its own
+    assert all(x is not firsts[0][pair] for pair, x in firsts[1].items())
+    assert firsts[0] == firsts[1] and len(firsts[0]) == 15
+
+
+def test_equal_valued_members_get_equal_reports():
+    fresh = Engine()
+    groups = [
+        ["1", "{0|}", "{-1,0|}", "{0,*|}"],
+        ["0", "{|}", "{*|*}", "{-1|1}"],
+        ["3/4", "{1/2|1}", "{0,1/2|1,2}"],
+        ["-2", "{|-1}", "{|-1,0}"],
+    ]
+    for texts in groups:
+        games = [parse_position(fresh, text) for text in texts]
+        for p in PropertyName:
+            if fresh.as_number(games[0], property_system(p)) is None:
+                continue
+            reports = [has_property(fresh, g, p) for g in games]
+            assert reports[0].holds
+            assert all(r is reports[0] for r in reports), (texts, p)
+    # one report per value and tag: 1, 0 and -2 in both systems, 3/4 in D
+    assert len(fresh.member_reports) == 3 * 9 + 4
 
 
 def test_empty_side_positions_hold_every_property(engine):

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from diamondcgt.diamond import ClosedSetPartition, PropertyName, verify_closed_set
 from diamondcgt.engine import Engine
 from diamondcgt.errors import BoundsTooLargeError, InvalidStateError, PreconditionError
 from diamondcgt.notation import format_value
@@ -144,7 +145,9 @@ def test_commuting_violation_cases():
     assert move_descriptors(different, Player.RIGHT)
 
 
-def _small_bipartite_states(max_vertices, max_edges, variant):
+def _small_bipartite_states(max_vertices, max_edges, variant, distinct=True):
+    """Every bipartite placement on the small boards; with ``distinct``,
+    only the first of the placements that share a transposition key."""
     seen = set()
     for n in range(2, max_vertices + 1):
         pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
@@ -158,9 +161,10 @@ def _small_bipartite_states(max_vertices, max_edges, variant):
                         state = YashimaState(graph, lt, rt, variant)
                         if color_class(state) is ColorClass.NOT_BIPARTITE:
                             continue
-                        if state.key() in seen:
-                            continue
-                        seen.add(state.key())
+                        if distinct:
+                            if state.key() in seen:
+                                continue
+                            seen.add(state.key())
                         yield state
 
 
@@ -471,3 +475,40 @@ def test_different_color_values_are_integers(engine):
             continue
         game = solver.to_game(state)
         assert engine.as_number(game, NumberSystem.Z) is not None, state
+
+
+@pytest.mark.parametrize(
+    "variant, certified, plain",
+    [(Variant.YASHIMA, 101, 40), (Variant.TRON, 7, 4)],
+)
+def test_small_boards_follow_the_papers_proof_route(variant, certified, plain):
+    """The paper's route to "different-color positions are integers".
+
+    A Left move and a Right move from a different-color state commute, so
+    on game ids the move pair has a common reply: the DIAMOND property.  A
+    move flips the mover's color, so the different-color and same-color
+    ids alternate along play, and the closed-set theorem applies to the
+    partition they make.  An id met in both colors is certified.
+    """
+    engine = Engine()
+    solver = YashimaSolver(engine)
+    different, same = set(), set()
+    placements = 0
+    for state in _small_bipartite_states(4, 5, variant, distinct=False):
+        placements += 1
+        game = solver.to_game(state)
+        if color_class(state) is ColorClass.DIFFERENT_COLOR:
+            different.add(game)
+        else:
+            same.add(game)
+    assert placements == 4560
+    part = ClosedSetPartition.split(different, same - different)
+    assert (len(part.certified), len(part.plain)) == (certified, plain)
+    for p in (
+        PropertyName.DIAMOND,
+        PropertyName.DIAMOND_LEQ,
+        PropertyName.DIAMOND_L_LFUZ,
+        PropertyName.DIAMOND_R_LFUZ,
+    ):
+        report = verify_closed_set(engine, part, p)
+        assert report.ok, (p, report)
