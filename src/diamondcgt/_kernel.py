@@ -3,7 +3,11 @@
 Positions live in a GameStore as append-only nodes addressed by integer id.
 A node is a pair of id tuples (Left options, Right options), deduplicated
 and sorted, so structurally identical game trees share a single id and tree
-isomorphism checks reduce to id equality.  Option ids always point at
+isomorphism checks reduce to id equality.  ``intern`` looks the option
+lists up as given before it sorts them: the index also maps each unsorted
+or repeating pair of lists that once named a known node to that node, so
+a caller that builds its lists the same way each time never pays for the
+sort again.  Option ids always point at
 earlier nodes, which makes the option graph acyclic by construction, and
 lets ``intern`` record two facts of a new node from its options' entries:
 its birthday and the number its shape spells, if any.  Such a number tree
@@ -103,9 +107,14 @@ class GameStore:
         return len(self._nodes)
 
     def stats(self):
-        """Node count and the entry count of each memo table."""
+        """Node count, alias count and the entry count of each memo table.
+
+        ``aliases`` counts the given option lists that ``intern`` keeps
+        beside the nodes' normal keys.
+        """
         return {
             "nodes": len(self._nodes),
+            "aliases": len(self._index) - len(self._nodes),
             "leq": sum(len(row) for row in self._leq),
             "canonical": len(self._canonical),
             "left_stops": len(self._stops[0]),
@@ -116,14 +125,29 @@ class GameStore:
     def intern(self, left, right):
         """Return the id for the position with these option sets.
 
+        The option lists are first looked up as given, in their order and
+        with their repeats: ``_index`` holds each node's normal key (sorted
+        and distinct) and the given keys recorded as its aliases, so a hit
+        is the answer.  On a miss they are normalized; a known normal key
+        records the given key as its alias, since callers that build their
+        lists the same way ask again with the same lists.  A new node
+        stores only its normal key, and a key holding an option id that
+        was never interned raises before anything is stored.
+
         A new node's birthday and shape number are recorded here, once,
         from its options' entries, which are older.  A node whose shape
         spells a number is that number's canonical tree, so it is also
         registered as canonical.
         """
-        key = (tuple(sorted(set(left))), tuple(sorted(set(right))))
-        got = self._index.get(key)
+        index = self._index
+        given = (tuple(left), tuple(right))
+        got = index.get(given)
         if got is not None:
+            return got
+        key = (tuple(sorted(set(given[0]))), tuple(sorted(set(given[1]))))
+        got = index.get(key)
+        if got is not None:
+            index[given] = got
             return got
         new_id = len(self._nodes)
         birthday = self._birthday
@@ -158,7 +182,7 @@ class GameStore:
                 if b[0] << (e - b[1]) == lo + 1:
                     value = (2 * lo + 1, e + 1)
         self._nodes.append(key)
-        self._index[key] = new_id
+        index[key] = new_id
         self._leq.append({})
         birthday.append(day)
         number.append(value)

@@ -37,6 +37,11 @@ class PropertyName(Enum):
     (L_LEQ, R_LEQ), or the guides themselves less than or fuzzy (TRIANGLE).
     """
 
+    # members are singletons and == is identity, so the identity hash is
+    # consistent and runs in C; Enum's own hashes the name in Python.  It
+    # varies per process, so no answer may follow the order of a set of tags
+    __hash__ = object.__hash__
+
     DIAMOND_Z = "dz"
     DIAMOND_D = "dd"
     DIAMOND = "d"

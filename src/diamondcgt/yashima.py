@@ -36,19 +36,25 @@ case any Left move and any Right move commute to the same state.  The
 sweep needs no solver walk and interns boards, not states.  It numbers its
 whole universe once, ``max_edges`` bits for each vertex pair, so a board
 is its mask, and it builds each bipartite board from one with a copy
-fewer, carrying the mask along.  The first time it meets a mask it gives
-it a board id and one slide row per vertex, the ``(destination, board id
-after the slide)`` pairs read once from the slide rule with the other
-token parked on a vertex no edge touches.  Game ids are kept in one list
-per board, by token pair.  Every move deletes at least one edge copy, so a
-state's successors are placements with fewer edge copies on a subgraph,
-and the sweep order (vertex count, then edge count) has visited them
-already; each state is interned from its two filtered rows by list index,
-with no edge tuple built or hashed.  The value laws are decided once per
-distinct game id, and every state is then checked against its game's
-verdict.  One commuting check over ``(destination, board)`` slides serves
-the sweep, which passes its rows, and ``commuting_violation``, which
-passes masks of the state's own numbering.
+fewer, carrying the mask and the board's labels along: one int per
+vertex, ``2 * component + color``, which ``_join`` updates for the new
+copy, or None once the copy closes an odd cycle.  ``color_class`` folds
+the same ``_join`` over a board's edges, so there is one color rule, and
+two tokens are different-color when their labels differ.  The first time
+it meets a mask it gives it a board id and one slide row per vertex, the
+``(destination, board id after the slide)`` pairs read once from the
+slide rule with the other token parked on a vertex no edge touches.  Game
+ids are kept in one list per board, by token pair.  Every move deletes at
+least one edge copy, so a state's successors are placements with fewer
+edge copies on a subgraph, and the sweep order (vertex count, then edge
+count) has visited them already; each state is interned from two lists
+of successor ids, read from its rows by list index, with no edge tuple
+built or hashed, and the engine answers most of them from the lists as
+given.  The value laws are decided once per distinct game id, and every
+state is then checked against its game's verdict.  One commuting check
+over ``(destination, board)`` slides serves the sweep, which builds the
+slide lists only for different-color states where both players move, and
+``commuting_violation``, which passes masks of the state's own numbering.
 """
 
 from __future__ import annotations
@@ -280,34 +286,43 @@ def legal_moves(state: YashimaState, player: Player) -> tuple[YashimaState, ...]
     return tuple(sorted(succs, key=YashimaState.key))
 
 
-def _bipartition(vertex_count: int, edges) -> tuple[list, list] | None:
-    """Per-vertex (component, color) labels, or None when not bipartite."""
-    adjacency = [[] for _ in range(vertex_count)]
+def _join(code: tuple, u: int, v: int) -> tuple | None:
+    """A bipartite board's labels after one more edge copy between u and v.
+
+    A label is one int per vertex, ``2 * component + color``.  The labels
+    come back unchanged when u and v already have opposite colors in one
+    component, and None when they share a label, since the copy then
+    closes an odd cycle.  Otherwise v's component joins u's, its colors
+    flipped as needed so v gets the color opposite u's.
+    """
+    a, b = code[u], code[v]
+    flip = a ^ b
+    if flip == 1:
+        return code
+    if not flip:
+        return None
+    # xor with a ^ b ^ 1 moves each label of v's component to u's
+    # component and gives v the color opposite u's
+    flip ^= 1
+    joined = b >> 1
+    return tuple(c ^ flip if c >> 1 == joined else c for c in code)
+
+
+def _bipartition(vertex_count: int, edges) -> tuple | None:
+    """Per-vertex labels of the board, or None when it is not bipartite:
+    the fold of ``_join`` over the edges, from every vertex on its own."""
+    code = tuple(range(0, 2 * vertex_count, 2))
     for u, v in edges:
-        adjacency[u].append(v)
-        adjacency[v].append(u)
-    component = [-1] * vertex_count
-    color = [0] * vertex_count
-    for start in range(vertex_count):
-        if component[start] >= 0:
-            continue
-        component[start] = start
-        stack = [start]
-        while stack:
-            u = stack.pop()
-            for v in adjacency[u]:
-                if component[v] < 0:
-                    component[v] = start
-                    color[v] = color[u] ^ 1
-                    stack.append(v)
-                elif color[v] == color[u]:
-                    return None
-    return component, color
+        code = _join(code, u, v)
+        if code is None:
+            return None
+    return code
 
 
-def _different_color(labels, lt: int, rt: int) -> bool:
-    component, color = labels
-    return component[lt] != component[rt] or color[lt] != color[rt]
+def _different_color(code: tuple, lt: int, rt: int) -> bool:
+    """Whether the tokens' vertices are in different components or have
+    opposite colors: whether their labels differ."""
+    return code[lt] != code[rt]
 
 
 def color_class(state: YashimaState) -> ColorClass:
@@ -320,10 +335,10 @@ def color_class(state: YashimaState) -> ColorClass:
     edges = state.graph.edges
     lt, rt = state.left_token, state.right_token
     top = max([v for _, v in edges], default=-1)
-    labels = _bipartition(top + 1, edges)
-    if labels is None:
+    code = _bipartition(top + 1, edges)
+    if code is None:
         return ColorClass.NOT_BIPARTITE
-    if max(lt, rt) > top or _different_color(labels, lt, rt):
+    if max(lt, rt) > top or _different_color(code, lt, rt):
         return ColorClass.DIFFERENT_COLOR
     return ColorClass.SAME_COLOR
 
@@ -620,14 +635,21 @@ def verify_bipartite_simplicity(
         pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
         # per pair, its block and the block's lowest bit
         slots = [(blocks[pair], blocks[pair] & -blocks[pair]) for pair in pairs]
-        # Boards as (edges, mask, index of the last pair, highest endpoint).
-        # The boards with m edge copies come in the order of
+        # The placements to sweep on a board, lt outer and rt inner: all of
+        # them once an edge reaches the last vertex, else those with a token
+        # there.  A placement that leaves the last vertex bare has the
+        # state of a board with fewer vertices, which was swept already.
+        every = [(lt, rt) for lt in range(n) for rt in range(n) if lt != rt]
+        touching = [(lt, rt) for lt, rt in every if last in (lt, rt)]
+        # Boards as (edges, mask, index of the last pair, highest endpoint,
+        # labels).  The boards with m edge copies come in the order of
         # combinations_with_replacement: each kept board of m - 1 copies
         # takes every pair from its last one on, so every edge tuple is
         # sorted, and the new copy takes the lowest free bit of its pair's
-        # block.  An odd cycle stays in every supergraph, so only bipartite
-        # boards are kept for the next copy.
-        kept = [((), 0, 0, 0)]
+        # block.  The labels are joined along (None for an odd cycle), and
+        # an odd cycle stays in every supergraph, so only bipartite boards
+        # are kept for the next copy.
+        kept = [((), 0, 0, 0, _bipartition(n, ()))]
         for m in range(0, max_edges + 1):
             level = kept
             if m:
@@ -637,15 +659,15 @@ def verify_bipartite_simplicity(
                         mask | ((mask & slots[k][0]) + slots[k][1]),
                         k,
                         max(top, pairs[k][1]),
+                        _join(code, *pairs[k]),
                     )
-                    for edges, mask, first, top in kept
+                    for edges, mask, first, top, code in kept
                     for k in range(first, len(pairs))
                 )
             kept = []
             for grown in level:
-                edges, mask, _, top = grown
-                labels = _bipartition(n, edges)
-                if labels is None:
+                edges, mask, _, top, code = grown
+                if code is None:
                     continue
                 if m < max_edges:
                     kept.append(grown)
@@ -664,48 +686,46 @@ def verify_bipartite_simplicity(
                     games.append([None] * (span * span))
                 row = rows[board]
                 placed = games[board]
-                for lt in range(n):
-                    for rt in range(n):
-                        # a placement that leaves the last vertex bare has
-                        # the state of a board with fewer vertices, which
-                        # was swept already
-                        if lt == rt or max(top, lt, rt) != last:
-                            continue
-                        states_checked += 1
-                        lefts = [s for s in row[lt] if s[0] != rt]
-                        rights = [s for s in row[rt] if s[0] != lt]
-                        game = placed[lt * span + rt] = intern(
-                            [games[b][d * span + rt] for d, b in lefts],
-                            [games[b][lt * span + d] for d, b in rights],
+                for lt, rt in every if top == last else touching:
+                    states_checked += 1
+                    left_ids = [games[b][d * span + rt] for d, b in row[lt] if d != rt]
+                    right_ids = [games[b][lt * span + d] for d, b in row[rt] if d != lt]
+                    game = placed[lt * span + rt] = intern(left_ids, right_ids)
+                    verdict = verdicts.get(game)
+                    if verdict is None:
+                        value = engine.classify_value(game)
+                        verdict = verdicts[game] = (
+                            value,
+                            value.in_pair_set(zsys),
+                            engine.as_number(game, zsys) is not None,
                         )
-                        verdict = verdicts.get(game)
-                        if verdict is None:
-                            value = engine.classify_value(game)
-                            verdict = verdicts[game] = (
-                                value,
-                                value.in_pair_set(zsys),
-                                engine.as_number(game, zsys) is not None,
-                            )
-                        value, simple, integer = verdict
-                        found = []
-                        if not simple:
-                            found.append(("value_not_simple", str(value)))
-                        if _different_color(labels, lt, rt):
-                            different_color += 1
-                            if not integer:
-                                found.append(("different_color_not_integer", str(value)))
-                            commuting_pairs += len(lefts) * len(rights)
+                    value, simple, integer = verdict
+                    bad = None
+                    different = _different_color(code, lt, rt)
+                    if different:
+                        different_color += 1
+                        commuting_pairs += len(left_ids) * len(right_ids)
+                        if left_ids and right_ids:
+                            # the slides themselves, only where both move
+                            lefts = [s for s in row[lt] if s[0] != rt]
+                            rights = [s for s in row[rt] if s[0] != lt]
                             bad = _commuting_failure(moves, lt, rt, lefts, rights)
-                            if bad is not None:
-                                detail = "%r %r %s" % _move_pair(lt, rt, bad)
-                                found.append(("non_commuting", detail))
-                        if found:
-                            state = YashimaState(MultiGraph(n, edges), lt, rt, variant)
-                            counterexamples.extend(
-                                SimplicityCounterexample(state, kind, detail)
-                                for kind, detail in found
-                            )
-                            if len(counterexamples) >= max_counterexamples:
-                                del counterexamples[max_counterexamples:]
-                                return report()
+                    if simple and (not different or integer) and bad is None:
+                        continue
+                    found = []
+                    if not simple:
+                        found.append(("value_not_simple", str(value)))
+                    if different and not integer:
+                        found.append(("different_color_not_integer", str(value)))
+                    if bad is not None:
+                        detail = "%r %r %s" % _move_pair(lt, rt, bad)
+                        found.append(("non_commuting", detail))
+                    state = YashimaState(MultiGraph(n, edges), lt, rt, variant)
+                    counterexamples.extend(
+                        SimplicityCounterexample(state, kind, detail)
+                        for kind, detail in found
+                    )
+                    if len(counterexamples) >= max_counterexamples:
+                        del counterexamples[max_counterexamples:]
+                        return report()
     return report()

@@ -32,8 +32,58 @@ def test_intern_sorts_and_deduplicates(engine, day1_forms):
 
 
 def test_intern_rejects_unknown_option_ids(engine):
-    with pytest.raises(MalformedGameError):
-        engine.intern((engine.node_count() + 5,), ())
+    # sorted or not, given as tuples or as iterators: neither the given key
+    # nor its normal key is in the index, so the ids are checked before
+    # the node, its key or an alias is stored
+    bad = engine.node_count() + 5
+    store = engine.store
+    nodes, index = list(store._nodes), dict(store._index)
+    for left, right in [
+        ((bad,), ()),
+        ((0, bad), ()),
+        ((bad, 0, 0), ()),
+        ((), (0, -1)),
+        ((0,), (10**30,)),
+    ]:
+        with pytest.raises(MalformedGameError):
+            engine.intern(left, right)
+        with pytest.raises(MalformedGameError):
+            engine.intern(iter(left), iter(right))
+    assert store._nodes == nodes
+    assert store._index == index
+
+
+def test_intern_answers_option_lists_as_given():
+    # permuted and repeated lists, as lists, tuples, sets and generators,
+    # name the node their sorted distinct options name; each new given
+    # key is kept as an alias, and asking again creates nothing
+    engine = Engine()
+    zero = engine.zero
+    one = engine.intern([zero], [])
+    minus_one = engine.intern([], [zero])
+    star = engine.intern([zero], [zero])
+    g = engine.intern((zero, one, star), (minus_one,))
+    nodes = engine.node_count()
+    lefts = (
+        lambda: [star, zero, one],
+        lambda: (one, one, zero, star),
+        lambda: {star, one, zero},
+        lambda: (x for x in (one, star, zero, zero)),
+    )
+    rights = (
+        lambda: [minus_one],
+        lambda: (minus_one, minus_one),
+        lambda: iter({minus_one}),
+    )
+    for _ in range(2):
+        for left in lefts:
+            for right in rights:
+                assert engine.intern(left(), right()) == g
+    assert engine.node_count() == nodes
+    given = {(tuple(left()), tuple(right())) for left in lefts for right in rights}
+    normal = engine.store.node(g)
+    assert normal in given
+    assert engine.stats()["aliases"] == len(given) - 1 == 7
 
 
 def test_compare_is_reflexive_and_equal_is_symmetric(engine, day2_values):
@@ -191,8 +241,11 @@ def test_stats_count_the_day2_order_memo():
     assert stats["leq"] == 176
     assert stats["canonical"] == 256
     assert stats["left_stops"] == stats["right_stops"] == 0
+    # every option list here reaches intern sorted and distinct
+    assert stats["aliases"] == 0
     assert set(stats) == {
-        "nodes", "leq", "canonical", "left_stops", "right_stops", "number_positions"
+        "nodes", "aliases", "leq", "canonical", "left_stops", "right_stops",
+        "number_positions",
     }
 
 

@@ -454,3 +454,12 @@ def test_option_closed_diamond_sets_have_member_values(engine, random_day4_forms
                 for g in core:
                     assert engine.as_number(g, system) is not None
     assert sets_seen >= 60
+
+
+def test_tags_hash_by_identity():
+    # the tags key the report dicts; their hash is the C identity hash,
+    # consistent with == and the same for a tag looked up by its value
+    assert PropertyName.__hash__ is object.__hash__
+    reports = {(7, p): p.value for p in PropertyName}
+    for p in PropertyName:
+        assert reports[7, PropertyName(p.value)] == p.value

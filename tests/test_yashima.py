@@ -120,6 +120,31 @@ def test_color_class():
     assert color_class(YashimaState(huge_triangle, 0, 5)) is ColorClass.NOT_BIPARTITE
 
 
+def test_color_class_agrees_with_every_proper_coloring():
+    # the referee colors by brute force: a board is bipartite when some 0/1
+    # coloring gives the ends of every edge two colors, and two tokens are
+    # same-color when every such coloring gives them one color.  Parallel
+    # copies, isolated vertices, tokens on them and odd cycles of three
+    # and five are all met here
+    for n in range(2, 6):
+        pairs = list(itertools.combinations(range(n), 2))
+        colorings = list(itertools.product((0, 1), repeat=n))
+        for m in range(6):
+            for edges in itertools.combinations_with_replacement(pairs, m):
+                proper = [c for c in colorings if all(c[u] != c[v] for u, v in edges)]
+                graph = MultiGraph(n, edges)
+                for lt, rt in itertools.permutations(range(n), 2):
+                    if not proper:
+                        expected = ColorClass.NOT_BIPARTITE
+                    elif all(c[lt] == c[rt] for c in proper):
+                        expected = ColorClass.SAME_COLOR
+                    else:
+                        expected = ColorClass.DIFFERENT_COLOR
+                    assert color_class(YashimaState(graph, lt, rt)) is expected, (
+                        edges, lt, rt,
+                    )
+
+
 def test_hand_counted_searches(engine):
     solver = YashimaSolver(engine)
     single = _path(2, 0, 1)
