@@ -278,8 +278,6 @@ class GameStore:
         dominated = self._dominated
         kept_left = tuple(x for x in left if not dominated(0, x, left))
         kept_right = tuple(x for x in right if not dominated(1, x, right))
-        if kept_left == left and kept_right == right:
-            return g
         return self.intern(kept_left, kept_right)
 
     def _reversible(self, sides, cur):
@@ -370,7 +368,11 @@ class GameStore:
         """Best number the player can steer toward, within the given system.
 
         A member of the system is its own stop; otherwise the best opponent
-        stop among the player's options, the largest for Left.
+        stop among the player's options, the largest for Left.  A non-member
+        has options on both sides: by the simplicity theorem {|R} is the
+        simplest number x with x <| every R, and those x include every small
+        enough integer and each number below one of them, so it is an
+        integer, a member of both systems; {L|} mirrors it.
         """
         v = self.member(g, integer_system)
         if v is not None:
@@ -390,23 +392,17 @@ class GameStore:
         return self._stop_guides(g, side, integer_system)[1]
 
     def _stop_guides(self, g, side, integer_system):
-        # (stop, guides) of a non-member from one pass over the player's
-        # options: those reaching the best opponent stop so far, in order,
-        # and the members among them; a member's opponent stop is its value
+        # (stop, guides) of a non-member, which has options on both sides
+        # (see ``stop``), from one pass over the player's options: those
+        # reaching the best opponent stop so far, in order, and the members
+        # among them; a member's opponent stop is its value
         key = (g, integer_system)
         memo = self._stops[side]
         got = memo.get(key)
         if got is not None:
             return got
-        options = self._nodes[g][side]
-        if not options:
-            player = ("Left", "Right")[side]
-            raise MalformedGameError(
-                "%s stop undefined: position %d has no %s options and is not "
-                "a member of the system" % (player.lower(), g, player)
-            )
         best = None
-        for x in options:
+        for x in self._nodes[g][side]:
             v = self.member(x, integer_system)
             s = v if v is not None else self._stop_guides(x, 1 - side, integer_system)[0]
             if best is None or (dy_lt(best, s) if side == 0 else dy_lt(s, best)):

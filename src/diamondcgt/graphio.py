@@ -10,8 +10,13 @@ comment and blank lines ignored:
     e 0 1                  # one edge per line; repeat a line for
     e 0 1                  # parallel edges
 
-``vertices``, ``L``, and ``R`` are required and may appear once each.
-Self-loops are rejected while parsing; an out-of-range vertex or
+One table, ``_DIRECTIVES``, says how many words each directive takes
+and what each word is.  Every line is checked in one fixed order: an
+unknown directive, a repeated line (only ``e`` may repeat), the variant
+name or else the word count, the integer words, a self-loop.  The first
+fault found is reported, with its line.  An integer word is an optional
+``-`` and decimal digits, as a numeral in the brace notation.
+``vertices``, ``L``, and ``R`` are required.  An out-of-range vertex or
 coinciding tokens surface as InvalidStateError from the state
 constructor.
 """
@@ -23,18 +28,28 @@ from .yashima import MultiGraph, Variant, YashimaState
 
 _VARIANTS = {v.value: v for v in Variant}
 
+# directive -> (word count, the text naming that count, what each word
+# is): an integer named so, or, for None, a variant name
+_DIRECTIVES = {
+    "variant": (1, "must be one of %s" % ", ".join(sorted(_VARIANTS)), None),
+    "vertices": (1, "takes one count", "vertex count"),
+    "L": (1, "takes one vertex", "token vertex"),
+    "R": (1, "takes one vertex", "token vertex"),
+    "e": (2, "takes two endpoints", "edge endpoint"),
+}
+
 
 def _parse_int(word: str, what: str, line_no: int) -> int:
-    try:
-        return int(word)
-    except ValueError:
-        # keep the one-line message short however long the word is
-        got = repr(word)
-        if len(word) > 20:
-            got = "%r (%d characters)" % (word[:20] + "\u2026", len(word))
-        raise GraphParseError(
-            "%s must be an integer, got %s" % (what, got), line=line_no
-        ) from None
+    if (word[1:] if word[:1] == "-" else word).isdecimal():
+        try:
+            return int(word)
+        except ValueError:  # more digits than int() converts
+            pass
+    # keep the one-line message short however long the word is
+    got = repr(word)
+    if len(word) > 20:
+        got = "%r (%d characters)" % (word[:20] + "\u2026", len(word))
+    raise GraphParseError("%s must be an integer, got %s" % (what, got), line=line_no)
 
 
 def parse_graph(text: str) -> YashimaState:
@@ -44,78 +59,37 @@ def parse_graph(text: str) -> YashimaState:
     directives, duplicates, missing requirements, or self-loops, and
     InvalidStateError for range or occupancy violations.
     """
-    variant: Variant | None = None
-    vertex_count: int | None = None
-    left: int | None = None
-    right: int | None = None
+    given: dict = {}  # directive -> its parsed word, for all but ``e``
     edges: list[tuple[int, int]] = []
     for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+        words = raw.split("#", 1)[0].split()
+        if not words:
             continue
-        words = line.split()
         keyword, args = words[0], words[1:]
-        if keyword == "variant":
-            if variant is not None:
-                raise GraphParseError("duplicate variant line", line=line_no)
-            if len(args) != 1 or args[0] not in _VARIANTS:
-                raise GraphParseError(
-                    "variant must be one of %s"
-                    % ", ".join(sorted(_VARIANTS)),
-                    line=line_no,
-                )
-            variant = _VARIANTS[args[0]]
-        elif keyword == "vertices":
-            if vertex_count is not None:
-                raise GraphParseError(
-                    "duplicate vertices line", line=line_no
-                )
-            if len(args) != 1:
-                raise GraphParseError(
-                    "vertices takes one count", line=line_no
-                )
-            vertex_count = _parse_int(args[0], "vertex count", line_no)
-        elif keyword in ("L", "R"):
-            if len(args) != 1:
-                raise GraphParseError(
-                    "%s takes one vertex" % keyword, line=line_no
-                )
-            value = _parse_int(args[0], "token vertex", line_no)
-            if keyword == "L":
-                if left is not None:
-                    raise GraphParseError("duplicate L line", line=line_no)
-                left = value
-            else:
-                if right is not None:
-                    raise GraphParseError("duplicate R line", line=line_no)
-                right = value
-        elif keyword == "e":
-            if len(args) != 2:
-                raise GraphParseError(
-                    "e takes two endpoints", line=line_no
-                )
-            u = _parse_int(args[0], "edge endpoint", line_no)
-            v = _parse_int(args[1], "edge endpoint", line_no)
-            if u == v:
-                raise GraphParseError(
-                    "self-loop at vertex %d" % u, line=line_no
-                )
-            edges.append((u, v))
+        if keyword not in _DIRECTIVES:
+            raise GraphParseError("unknown directive %r" % keyword, line=line_no)
+        if keyword in given:
+            raise GraphParseError("duplicate %s line" % keyword, line=line_no)
+        count, takes, what = _DIRECTIVES[keyword]
+        if len(args) != count or (what is None and args[0] not in _VARIANTS):
+            raise GraphParseError("%s %s" % (keyword, takes), line=line_no)
+        if what is None:
+            given[keyword] = _VARIANTS[args[0]]
+            continue
+        values = [_parse_int(word, what, line_no) for word in args]
+        if keyword != "e":
+            given[keyword] = values[0]
+        elif values[0] == values[1]:
+            raise GraphParseError("self-loop at vertex %d" % values[0], line=line_no)
         else:
-            raise GraphParseError(
-                "unknown directive %r" % keyword, line=line_no
-            )
+            edges.append((values[0], values[1]))
     last = text.count("\n") + 1
-    if vertex_count is None:
-        raise GraphParseError("missing vertices line", line=last)
-    if left is None:
-        raise GraphParseError("missing L line", line=last)
-    if right is None:
-        raise GraphParseError("missing R line", line=last)
-    graph = MultiGraph(vertex_count, tuple(edges))
-    return YashimaState(
-        graph, left, right, variant if variant is not None else Variant.YASHIMA
-    )
+    for keyword in ("vertices", "L", "R"):
+        if keyword not in given:
+            raise GraphParseError("missing %s line" % keyword, line=last)
+    graph = MultiGraph(given["vertices"], tuple(edges))
+    variant = given.get("variant", Variant.YASHIMA)
+    return YashimaState(graph, given["L"], given["R"], variant)
 
 
 def load_graph(path: str) -> YashimaState:

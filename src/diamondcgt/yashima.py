@@ -19,13 +19,14 @@ trailing isolated vertices share one state.  One private function,
 operations, without building or re-validating any public object.  It is
 the single slide rule, and its only switch is the variant's deletion: the
 edge-removal slide clears the highest present copy of the slid pair, the
-vertex-removal slide every copy at the departed vertex.  The move
-descriptors, legality, applying a move, the commuting check and the
-sweep's slide rows all read it, and nothing else decides where a token may
-slide or which edges a slide deletes.  The solver numbers each root's edge
-tuple (copy i is bit i) and memoizes game ids per ``(variant, edge tuple,
-S)``, so roots on other edges redo the walk while the engine's
-hash-consing still gives them the same game ids.
+vertex-removal slide every copy at the departed vertex.  One decoder,
+``_moves``, lists a token's slides from it as ``(destination, mask
+after)``; the move descriptors, legality, applying a move, the commuting
+check and the sweep's slide rows read those, and nothing else decides
+where a token may slide or which edges a slide deletes.  The solver
+numbers each root's edge tuple (copy i is bit i) and memoizes game ids
+per ``(variant, edge tuple, S)``, so roots on other edges redo the walk
+while the engine's hash-consing still gives them the same game ids.
 ``YashimaSolver.solve_stats`` reads the game id, the tree size and the
 reachable count off one post-order walk.
 
@@ -215,6 +216,17 @@ def _successors(state: int, rule: _Rule) -> list:
     return out
 
 
+def _moves(board: int, token: int, rule: _Rule) -> list:
+    """Each slide of a token on a board mask as ``(destination, mask
+    after)``, in pair order: the token's Left successors with the other
+    token parked on vertex 2**S - 1, so before the opponent's vertex is
+    ruled out."""
+    shift = rule.shift
+    low = (1 << shift) - 1
+    parked = (board << shift | token) << shift | low
+    return [(s >> shift & low, s >> 2 * shift) for s in _successors(parked, rule)[0]]
+
+
 def _edge_rule(variant: Variant, edges: tuple, shift: int) -> _Rule:
     """The rule for the numbering that gives copy i of ``edges`` bit i."""
     blocks: dict = {}
@@ -241,19 +253,15 @@ def _slides(state: YashimaState, player: Player) -> dict:
     """Each distinct slide of the player's token, in edge order, as
     ``Move -> (edges, left token, right token)`` after the slide."""
     key, root = _packed(state)
-    _, edges, shift = key
-    lefts, rights = _successors(root, _edge_rule(*key))
-    low = (1 << shift) - 1
-    if player is Player.LEFT:
-        token, succs, at = state.left_token, lefts, shift
-    else:
-        token, succs, at = state.right_token, rights, 0
+    rule = _edge_rule(*key)
+    lt, rt = state.left_token, state.right_token
+    left = player is Player.LEFT
+    token, other = (lt, rt) if left else (rt, lt)
     out = {}
-    for s in succs:
-        mask = s >> 2 * shift
-        dest = s >> at & low
-        after = tuple(e for i, e in enumerate(edges) if mask >> i & 1)
-        out[Move(_edge(token, dest), dest)] = (after, s >> shift & low, s & low)
+    for dest, mask in _moves(root >> 2 * rule.shift, token, rule):
+        if dest != other:
+            after = tuple(e for i, e in enumerate(key[1]) if mask >> i & 1)
+            out[Move(_edge(token, dest), dest)] = (after, dest, rt) if left else (after, lt, dest)
     return out
 
 
@@ -490,16 +498,12 @@ def commuting_violation(state: YashimaState):
     """
     key, root = _packed(state)
     rule = _edge_rule(*key)
-    shift = rule.shift
-    low = (1 << shift) - 1
     lt, rt = state.left_token, state.right_token
 
     def moves(board, token):
-        # the other token waits on the parking vertex 2**S - 1
-        parked = (board << shift | token) << shift | low
-        return [(s >> shift & low, s >> 2 * shift) for s in _successors(parked, rule)[0]]
+        return _moves(board, token, rule)
 
-    mask = root >> 2 * shift
+    mask = root >> 2 * rule.shift
     lefts = [s for s in moves(mask, lt) if s[0] != rt]
     rights = [s for s in moves(mask, rt) if s[0] != lt]
     bad = _commuting_failure(moves, lt, rt, lefts, rights)
@@ -584,18 +588,15 @@ def verify_bipartite_simplicity(
     zsys = NumberSystem.Z
     # One numbering serves the whole sweep: each pair of the span vertices
     # gets max_edges bits, which a board's copies fill from the lowest, so
-    # a board is its mask.  No edge touches the parking vertex, so a token
-    # parked there blocks nothing and the other token's Left successors are
-    # exactly its slides.  The slide rule treats both tokens alike: one row
-    # per vertex serves both.
+    # a board is its mask.  S = span.bit_length() leaves the parking vertex
+    # 2**S - 1 free of edges.  The slide rule treats both tokens alike: one
+    # row per vertex serves both.
     span = max(max_vertices, 1)
     blocks = {
         pair: ((1 << max_edges) - 1) << (k * max_edges)
         for k, pair in enumerate(itertools.combinations(range(span), 2))
     }
-    shift = span.bit_length()
-    low = (1 << shift) - 1
-    rule = _rule(variant, blocks, shift)
+    rule = _rule(variant, blocks, span.bit_length())
     # board mask -> board id, given the first time the sweep meets it
     boards: dict = {}
     # board id -> per vertex, the (destination, board id after) slides
@@ -675,12 +676,8 @@ def verify_bipartite_simplicity(
                 board = boards.get(mask)
                 if board is None:
                     board = boards[mask] = len(rows)
-                    parked = mask << 2 * shift | low
                     rows.append([
-                        [
-                            (s >> shift & low, boards[s >> 2 * shift])
-                            for s in _successors(parked | x << shift, rule)[0]
-                        ]
+                        [(d, boards[after]) for d, after in _moves(mask, x, rule)]
                         for x in range(span)
                     ])
                     games.append([None] * (span * span))

@@ -112,6 +112,16 @@ def test_diamond_witness_details(capsys):
     assert witness["guide_left"] == "*"
     assert witness["guide_right"] == "{*,0|0}"
     assert witness["x"] == "0"
+    # the refinements name the guides' common second moves
+    code, out, _ = _run(capsys, "diamond", "--property", "dr-leq", "{0|*}")
+    assert code == 0
+    assert out.splitlines() == ["holds", "guide-left 0", "guide-right *", "second-right 0"]
+    code, payload, _ = _run_json(
+        capsys, "diamond", "--property", "d", "{{*,1|*}|{*,0|0}}"
+    )
+    assert code == 0
+    (witness,) = payload["witnesses"]
+    assert witness["second_moves"] == {"left": "*", "right": "*"}
 
 
 def test_diamond_witness_past_32_halvings(capsys):
@@ -211,6 +221,11 @@ def test_parse_errors_exit_2(capsys, tmp_path):
     code, out, err = _run(capsys, "yashima", "value", str(not_utf8))
     assert code == 2 and out == ""
     assert err == "error: %s is not UTF-8 text\n" % not_utf8
+    underscore = tmp_path / "underscore.graph"
+    underscore.write_text("vertices 1_0\nL 0\nR 1\n")
+    code, out, err = _run(capsys, "yashima", "value", str(underscore))
+    assert (code, out) == (2, "")
+    assert err == "error: vertex count must be an integer, got '1_0' (line 1)\n"
     code, _, err = _run(capsys, "yashima", "verify", "--state-budget", "5")
     assert code == 2 and "budget" in err
     code, out, err = _run(capsys, "yashima", "verify", "--max-vertices", "3",

@@ -388,6 +388,44 @@ def test_star_as_plain_member_verifies(engine):
     assert report.ok, report
 
 
+def test_uncertified_options_of_plain_members_fail(engine):
+    star = engine.star()
+    up = parse_position(engine, "{0|*}")
+    part = ClosedSetPartition.split(certified={engine.zero}, plain={star, up})
+    report = verify_closed_set(engine, part, PropertyName.DIAMOND)
+    assert (report.failed_check, report.offender) == ("hypothesis_options_certified", up)
+
+
+def test_second_moves_must_land_among_the_certified(engine):
+    # {{-1|*}|} is 1 and {-1|*} is 0, both certified, but Left's move to
+    # {-1|*} lets Right answer with the plain *
+    inner = parse_position(engine, "{-1|*}")
+    outer = parse_position(engine, "{{-1|*}|}")
+    certified = {engine.zero, engine.number_position(-1), inner, outer}
+    part = ClosedSetPartition.split(certified, {engine.star()})
+    for p in _VARIANT_PROPERTIES:
+        if property_system(p) is Z:
+            report = verify_closed_set(engine, part, p)
+            assert (report.failed_check, report.offender) == (
+                "hypothesis_second_moves", outer
+            ), p
+
+
+def test_conclusions_are_checked_after_the_hypotheses(engine, monkeypatch):
+    # no sound certificate reaches them, so let every member pass it
+    holds = has_property(engine, engine.zero, PropertyName.DIAMOND)
+    monkeypatch.setattr("diamondcgt.diamond.has_property", lambda engine, g, p: holds)
+    star = engine.star()
+    up = parse_position(engine, "{0|*}")
+    for members, check, offender in [
+        ({engine.zero, star, up}, "conclusion_pair_set", up),
+        ({engine.zero, star}, "conclusion_membership", star),
+    ]:
+        part = ClosedSetPartition.total(members)
+        report = verify_closed_set(engine, part, PropertyName.DIAMOND)
+        assert (report.failed_check, report.offender) == (check, offender)
+
+
 def test_missing_option_raises_not_closed(engine):
     star = engine.star()
     part = ClosedSetPartition.total(frozenset({star}))
@@ -432,6 +470,11 @@ def test_stop_transfer_instances(engine):
         check_stop_transfer(engine, star, zero, Dyadic(0), Z)
     with pytest.raises(PreconditionError):
         check_stop_transfer(engine, zero, pair_03, Dyadic(1, 1), Z)
+    up = parse_position(engine, "{0|*}")
+    with pytest.raises(PreconditionError, match="^g0 must be a pair over the system$"):
+        check_stop_transfer(engine, up, pair_03, Dyadic(0), Z)
+    with pytest.raises(PreconditionError, match="^g1 must be a pair over the system$"):
+        check_stop_transfer(engine, zero, up, Dyadic(0), Z)
 
 
 def test_option_closed_diamond_sets_have_member_values(engine, random_day4_forms):

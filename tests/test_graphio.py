@@ -35,45 +35,69 @@ def test_parse_comments_blanks_and_multiplicity():
     assert state.graph.edges == ((0, 1), (0, 1), (1, 2))
 
 
-def test_parse_error_lines():
-    with pytest.raises(GraphParseError) as info:
-        parse_graph("vertices 2\nL 0\nR 1\ne 1 1\n")
-    assert info.value.line == 4
-    assert "self-loop" in str(info.value)
-    with pytest.raises(GraphParseError) as info:
-        parse_graph("vertices 2\nvertices 3\nL 0\nR 1\n")
-    assert info.value.line == 2
-    with pytest.raises(GraphParseError) as info:
-        parse_graph("vertices two\nL 0\nR 1\n")
-    assert info.value.line == 1 and "integer" in str(info.value)
+_HEAD = "vertices 2\nL 0\nR 1\n"
+
+
+# (file, the error it raises), the checks in the order a line meets them
+_ERRORS = [
+    (_HEAD + "edge 0 1\n", "unknown directive 'edge' (line 4)"),
+    ("variant tron\nvariant tron\n" + _HEAD, "duplicate variant line (line 2)"),
+    ("vertices 2\nvertices 3\nL 0\nR 1\n", "duplicate vertices line (line 2)"),
+    (_HEAD + "L 0\n", "duplicate L line (line 4)"),
+    (_HEAD + "R 1\n", "duplicate R line (line 4)"),
+    ("variant hexapawn\n" + _HEAD, "variant must be one of tron, yashima (line 1)"),
+    ("variant\n" + _HEAD, "variant must be one of tron, yashima (line 1)"),
+    ("vertices 2 3\nL 0\nR 1\n", "vertices takes one count (line 1)"),
+    ("vertices 2\nL\nR 1\n", "L takes one vertex (line 2)"),
+    ("vertices 2\nL 0\nR 1 0\n", "R takes one vertex (line 3)"),
+    (_HEAD + "e 0\n", "e takes two endpoints (line 4)"),
+    ("vertices two\nL 0\nR 1\n", "vertex count must be an integer, got 'two' (line 1)"),
+    ("vertices 2\nL x\nR 1\n", "token vertex must be an integer, got 'x' (line 2)"),
+    (_HEAD + "e 0 1.0\n", "edge endpoint must be an integer, got '1.0' (line 4)"),
+    (_HEAD + "e 1 1\n", "self-loop at vertex 1 (line 4)"),
+    # an integer word is an optional '-' and decimal digits, nothing
+    # else that int() reads
+    ("vertices 1_0\nL 0\nR 1\n", "vertex count must be an integer, got '1_0' (line 1)"),
+    ("vertices 2\nL 0\nR +1\n", "token vertex must be an integer, got '+1' (line 3)"),
+    ("vertices 2\nL -\nR 1\n", "token vertex must be an integer, got '-' (line 2)"),
     # a word too long for int() is shown by its first 20 characters
-    with pytest.raises(GraphParseError) as info:
-        parse_graph("vertices 1%s\nL 0\nR 1\n" % ("0" * 4300))
-    assert str(info.value) == (
+    (
+        "vertices 1%s\nL 0\nR 1\n" % ("0" * 4300),
         "vertex count must be an integer, got '10000000000000000000\u2026'"
-        " (4301 characters) (line 1)"
-    )
-    with pytest.raises(GraphParseError) as info:
-        parse_graph("vertices 2\nL 0\nR 1\nedge 0 1\n")
-    assert "unknown directive" in str(info.value)
-    with pytest.raises(GraphParseError) as info:
-        parse_graph("vertices 2\nL 0\nR 1\ne 0\n")
-    assert "two endpoints" in str(info.value)
-    with pytest.raises(GraphParseError) as info:
-        parse_graph("variant hexapawn\nvertices 2\nL 0\nR 1\n")
-    assert "variant must be one of" in str(info.value)
+        " (4301 characters) (line 1)",
+    ),
+    # a line with two faults reports the one checked first
+    (_HEAD + "L 0 1\n", "duplicate L line (line 4)"),
+    (_HEAD + "R x\n", "duplicate R line (line 4)"),
+    ("vertices 2 x\nL 0\nR 1\n", "vertices takes one count (line 1)"),
+]
+
+
+def test_parse_error_lines():
+    for text, message in _ERRORS:
+        with pytest.raises(GraphParseError) as info:
+            parse_graph(text)
+        assert str(info.value) == message, text
+
+
+def test_integer_words():
+    state = parse_graph("vertices 03\nL -0\nR 2\ne 0 \u0661\n")
+    assert state.graph.vertex_count == 3
+    assert (state.left_token, state.right_token) == (0, 2)
+    assert state.graph.edges == ((0, 1),)
 
 
 def test_missing_directives():
-    with pytest.raises(GraphParseError) as info:
-        parse_graph("L 0\nR 1\ne 0 1\n")
-    assert "missing vertices" in str(info.value)
-    with pytest.raises(GraphParseError) as info:
-        parse_graph("vertices 2\nR 1\n")
-    assert "missing L" in str(info.value)
-    with pytest.raises(GraphParseError) as info:
-        parse_graph("vertices 2\nL 0\n")
-    assert "missing R" in str(info.value)
+    # reported on the line after the last, in the order vertices, L, R
+    for text, message in [
+        ("L 0\nR 1\ne 0 1\n", "missing vertices line (line 4)"),
+        ("vertices 2\nR 1", "missing L line (line 2)"),
+        ("vertices 2\nL 0\n", "missing R line (line 3)"),
+        ("", "missing vertices line (line 1)"),
+    ]:
+        with pytest.raises(GraphParseError) as info:
+            parse_graph(text)
+        assert str(info.value) == message
 
 
 def test_range_violations_surface_from_state():

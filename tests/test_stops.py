@@ -129,3 +129,20 @@ def test_stops_and_birthdays_match_oracle(
             ls, rs = engine.left_stop(g, system), engine.right_stop(g, system)
             assert ls.as_fraction() == o.stop(game, "L", system.name)
             assert rs.as_fraction() == o.stop(game, "R", system.name)
+
+
+def test_positions_with_an_empty_side_are_integers(
+    engine, day2_forms, day3_forms, random_day4_forms, to_oracle
+):
+    # the simplicity theorem makes {|R} the simplest number x with x <| R
+    # for every R, an integer, so only positions with options on both
+    # sides need a best option for their stops
+    forms = list(day2_forms) + list(day3_forms) + list(random_day4_forms)
+    suite = [g for g in forms if not (engine.left_options(g) and engine.right_options(g))]
+    assert len(suite) == 669
+    for g in suite:
+        value = o.number_value(to_oracle(g), "Z")
+        assert value is not None, g
+        for system in (Z, D):
+            assert engine.left_stop(g, system).as_fraction() == value
+            assert engine.right_stop(g, system).as_fraction() == value

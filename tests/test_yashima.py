@@ -170,6 +170,23 @@ def test_commuting_violation_cases():
     assert move_descriptors(different, Player.RIGHT)
 
 
+def test_commuting_failure_reasons():
+    # Left on 0 slides to 2 (board "l"), Right on 1 to 3 (board "r"); a
+    # hand-made slide table reaches the reasons the real rule never gives
+    left, right = (2, "l"), (3, "r")
+    for after_left, after_right, reason in [
+        ([(3, "lr")], [(2, "lr")], None),
+        ([], [(2, "lr")], "right move blocked after left"),
+        ([(3, "lr")], [], "left move blocked after right"),
+        ([(3, "lr")], [(2, "rl")], "orders disagree"),
+    ]:
+        table = {("l", 1): after_left, ("r", 0): after_right}
+        got = yashima._commuting_failure(
+            lambda board, token: table[board, token], 0, 1, [left], [right]
+        )
+        assert got == (None if reason is None else (left, right, reason))
+
+
 def _small_bipartite_states(max_vertices, max_edges, variant, distinct=True):
     """Every bipartite placement on the small boards; with ``distinct``,
     only the first of the placements that share a transposition key."""
