@@ -24,7 +24,12 @@ Everything else expensive is memoized against the owning store:
   ``outcome`` leave their own pair out, so a workload of one-off compares
   keeps only what the recursion reads again,
 * ``canonical`` rewrites a node into the unique simplest equal-valued form
-  by removing dominated options and bypassing reversible ones bottom-up,
+  bottom-up.  A node whose canonical options are all numbers is read as
+  numbers: with a = Left's largest and b = Right's smallest, it is the
+  switch {a|b} when b <= a, else the simplest number strictly between
+  them (``dy_simplest``), as the simplicity theorem says.  Every other
+  node has its dominated options removed and its reversible ones
+  bypassed,
 * ``number_position`` builds number trees on an explicit stack, memoized
   by the normalized pair,
 * ``stop`` and ``guides`` read one recursion for either player in either
@@ -75,6 +80,36 @@ def dy_normalize(num, exp):
 
 def dy_lt(a, b):
     return a[0] << b[1] < b[0] << a[1]
+
+
+def dy_simplest(lo, hi):
+    """The simplest dyadic strictly between lo and hi, normalized.
+
+    Either bound may be None for no bound, and lo < hi.  When an integer
+    fits, the answer is the one nearest 0.  Otherwise both bounds lie in
+    one unit interval.  Scaled to integers L < H on the grid one finer
+    than both bounds' exponents, the interval holds L + 1 .. H - 1, and
+    the simplest of them is the one with the most trailing zeros: H - 1
+    with its bits cleared below the highest bit in which L and H - 1
+    differ.  That costs a few operations on the bounds' bits, however
+    many halvings apart they are.
+    """
+    if lo is not None and lo[0] >= 0:
+        n = (lo[0] >> lo[1]) + 1  # the least integer above lo
+        if hi is None or n << hi[1] < hi[0]:
+            return n, 0
+    elif hi is not None and hi[0] <= 0:
+        n = -(-hi[0] >> hi[1]) - 1  # the greatest integer below hi
+        if lo is None or lo[0] < n << lo[1]:
+            return n, 0
+    else:
+        return 0, 0
+    e = max(lo[1], hi[1]) + 1
+    low = lo[0] << (e - lo[1])
+    top = (hi[0] << (e - hi[1])) - 1
+    # top's bit k is set and low's is clear, since low < top
+    k = (low ^ top).bit_length() - 1
+    return top >> k, e - k
 
 
 class GameStore:
@@ -316,13 +351,19 @@ class GameStore:
     def canonical(self, g):
         """The unique simplest position equal to g.
 
-        Canonicalizes the options first, then removes dominated options,
-        bypasses reversible ones and, if the bypass changed the form,
-        removes dominated options once more.  That is enough: one removal
-        pass drops every dominated option, and a removal changes neither
-        the value nor any remaining option, so it makes none reversible.
-        Every intermediate form has the same value as g, so all of them
-        share the final answer in the memo table.
+        Canonicalizes the options first.  When they are all number trees
+        the answer is read from their values: the switch of Left's largest
+        and Right's smallest when that Right option is at most the Left
+        one, else the simplest number strictly between them, a missing
+        side leaving that bound open; g and the answer are memoized.
+
+        Otherwise it removes dominated options, bypasses reversible ones
+        and, if the bypass changed the form, removes dominated options
+        once more.  That is enough: one removal pass drops every dominated
+        option, and a removal changes neither the value nor any remaining
+        option, so it makes none reversible.  Every intermediate form has
+        the same value as g, so all of them share the final answer in the
+        memo table.
         """
         memo = self._canonical
         got = memo.get(g)
@@ -331,6 +372,10 @@ class GameStore:
         left0, right0 = self._nodes[g]
         left = {self.canonical(x) for x in left0}
         right = {self.canonical(x) for x in right0}
+        result = self._canonical_of_numbers(left, right)
+        if result is not None:
+            memo[g] = memo[result] = result
+            return result
         stages = [g, self.intern(left, right)]
         for step in (self.remove_dominated, self.bypass_reversible, self.remove_dominated):
             result = memo.get(stages[-1])
@@ -345,6 +390,31 @@ class GameStore:
             memo[stage] = result
         memo[result] = result
         return result
+
+    def _canonical_of_numbers(self, left, right):
+        # the canonical form of {left | right} when every option is a
+        # number tree, else None.  With a = Left's largest and b = Right's
+        # smallest, b <= a gives the switch {A | B}: the other options are
+        # dominated, and A's Right options lie above a >= b, so A does not
+        # reverse (nor B, dually).  Otherwise, by the simplicity theorem,
+        # it is the simplest number strictly between a and b
+        number = self._number
+        a = b = None
+        for x in left:
+            v = number[x]
+            if v is None:
+                return None
+            if a is None or dy_lt(a, v):
+                a, big = v, x
+        for x in right:
+            v = number[x]
+            if v is None:
+                return None
+            if b is None or dy_lt(v, b):
+                b, small = v, x
+        if a is not None and b is not None and not dy_lt(a, b):
+            return self.intern((big,), (small,))
+        return self.number_position(*dy_simplest(a, b))
 
     def tree_number(self, h):
         """The dyadic pair of h when h is the canonical tree of a number,

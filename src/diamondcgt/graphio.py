@@ -1,4 +1,4 @@
-"""Plain-text graph files describing token-sliding positions.
+r"""Plain-text graph files describing token-sliding positions.
 
 A file is a sequence of directives, one per line, with ``#`` starting a
 comment and blank lines ignored:
@@ -16,9 +16,12 @@ unknown directive, a repeated line (only ``e`` may repeat), the variant
 name or else the word count, the integer words, a self-loop.  The first
 fault found is reported, with its line.  An integer word is an optional
 ``-`` and decimal digits, as a numeral in the brace notation.
-``vertices``, ``L``, and ``R`` are required.  An out-of-range vertex or
-coinciding tokens surface as InvalidStateError from the state
-constructor.
+``vertices``, ``L``, and ``R`` are required; a missing one is reported
+on the line after the last line break.  Lines end where
+``str.splitlines`` ends them: at ``\n``, ``\r`` or ``\r\n``, and also at
+``\v``, ``\f``, ``\x1c``-``\x1e``, ``\x85``, ``\u2028`` and ``\u2029``.
+An out-of-range vertex or coinciding tokens surface as
+InvalidStateError from the state constructor.
 """
 
 from __future__ import annotations
@@ -83,7 +86,8 @@ def parse_graph(text: str) -> YashimaState:
             raise GraphParseError("self-loop at vertex %d" % values[0], line=line_no)
         else:
             edges.append((values[0], values[1]))
-    last = text.count("\n") + 1
+    # the line after the last line break, counted as the loop counts
+    last = len((text + "x").splitlines())
     for keyword in ("vertices", "L", "R"):
         if keyword not in given:
             raise GraphParseError("missing %s line" % keyword, line=last)

@@ -65,7 +65,6 @@ import math
 from collections import defaultdict
 from dataclasses import dataclass
 from enum import Enum
-from itertools import chain, filterfalse
 from typing import NamedTuple
 
 from .engine import Engine
@@ -424,27 +423,32 @@ class YashimaSolver:
         memo or not, and records each one's tree size in ``sizes``; its
         length is then the reachable count.  Each visited state's
         successors are generated exactly once either way.
+
+        The first pop of a state that is not done expands it: its
+        successors wait in ``waiting`` while the marker ``~state`` (a
+        negative int) and then every successor are pushed, and popping the
+        marker finishes the state from them.  That is safe because every
+        slide deletes an edge copy, so the state graph has no cycles: no
+        state's successors include a state whose marker is still on the
+        stack, so each state is expanded once and ``waiting`` holds only
+        the open path.
         """
         intern = self.engine.intern
         game = memo.__getitem__
         done = memo if sizes is None else sizes
-        is_done = done.__contains__
         stack = [root]
         waiting: dict = {}  # state -> its successors, while they are walked
         while stack:
             state = stack.pop()
-            if is_done(state):
+            if state >= 0:
+                if state not in done:
+                    children = waiting[state] = _successors(state, rule)
+                    stack.append(~state)
+                    stack += children[0]
+                    stack += children[1]
                 continue
-            children = waiting.pop(state, None) if waiting else None
-            if children is None:
-                children = _successors(state, rule)
-                missing = list(filterfalse(is_done, chain(*children)))
-                if missing:
-                    waiting[state] = children
-                    stack.append(state)
-                    stack += missing
-                    continue
-            lefts, rights = children
+            state = ~state
+            lefts, rights = waiting.pop(state)
             if sizes is not None:
                 size = sizes.__getitem__
                 sizes[state] = 1 + sum(map(size, lefts)) + sum(map(size, rights))

@@ -3,8 +3,11 @@
 from __future__ import annotations
 
 import random
+import time
 
-from diamondcgt.values import Relation
+from diamondcgt.engine import Engine
+from diamondcgt.notation import format_position, format_value
+from diamondcgt.values import Dyadic, Relation
 
 import oracle as o
 
@@ -125,3 +128,73 @@ def test_canonical_has_no_dominated_options(engine, day3_values, to_oracle):
             for b in og.right - {a}:
                 assert not o.leq(b, a), "dominated Right option survived"
             assert not any(o.leq(og, l) for l in a.left), "reversible Right option"
+
+
+def _pool(engine):
+    # the numbers -3..3, ±1/2, ±1/4, ±3/4, 5/8 and 7/2, and the switches
+    # {1|0}, {2|1} and {1/2|-1/2}
+    def num(n, e=0):
+        return engine.number_position(Dyadic(n, e))
+
+    numbers = [num(n) for n in range(-3, 4)] + [
+        num(n, e) for n, e in ((1, 1), (-1, 1), (1, 2), (-1, 2), (3, 2), (-3, 2), (5, 3), (7, 1))
+    ]
+    switches = [
+        engine.intern((num(1),), (num(0),)),
+        engine.intern((num(2),), (num(1),)),
+        engine.intern((num(1, 1),), (num(-1, 1),)),
+    ]
+    return numbers + switches
+
+
+def test_forms_over_numbers_and_switches(engine, to_oracle, monkeypatch):
+    """Canonical forms of seeded random forms over a pool of numbers and
+    switches, refereed by the oracle: the value is kept, a form some
+    number fits prints as the simplest one, and otherwise, when Left's
+    options have a greatest and Right's a least, as those two."""
+    # 13/4, the simplest number between 3 and 7/2, is born on day 6
+    monkeypatch.setattr(o, "FIT_SEARCH_DAY", 6)
+    pool = _pool(engine)
+    rng = random.Random(2501)
+    switches = 0
+    for _ in range(400):
+        left = rng.sample(pool, rng.randint(0, 3))
+        right = rng.sample(pool, rng.randint(0, 3))
+        g = engine.intern(left, right)
+        c = engine.canonical_form(g)
+        assert o.eq(to_oracle(c), to_oracle(g))
+        text = format_value(engine, c)
+        fit = o.simplest_fit([to_oracle(x) for x in left], [to_oracle(x) for x in right])
+        if fit is not None:
+            assert text == str(fit)
+            continue
+        best = [x for x in left if all(o.leq(to_oracle(y), to_oracle(x)) for y in left)]
+        least = [x for x in right if all(o.leq(to_oracle(x), to_oracle(y)) for y in right)]
+        if best and least:
+            switches += 1
+            switch = engine.intern(best[:1], least[:1])
+            assert text == format_value(engine, switch) == format_position(engine, switch)
+    assert switches > 100
+
+
+def test_number_options_far_apart_in_halvings():
+    # every option is a number tree about 100,000 halvings deep; the
+    # simplest number between them is read from the bounds' bits, with no
+    # order recursion down the trees
+    engine = Engine()
+
+    def num(n, e):
+        return engine.number_position(Dyadic(n, e))
+
+    cases = [
+        # neighbours: the form is already the tree of 3/2**100001
+        ((num(1, 100000),), (num(1, 99999),), Dyadic(3, 100001)),
+        ((num(-1, 99999),), (num(-1, 100000),), Dyadic(-3, 100001)),
+        ((num(1, 100000),), (num(1, 99998),), Dyadic(1, 99999)),
+        ((num(-1, 99998),), (num(-1, 100000),), Dyadic(-1, 99999)),
+    ]
+    forms = [engine.intern(left, right) for left, right, _ in cases]
+    start = time.perf_counter()
+    answers = [engine.canonical_form(g) for g in forms]
+    assert time.perf_counter() - start < 0.5
+    assert [engine.as_number(c) for c in answers] == [value for _, _, value in cases]

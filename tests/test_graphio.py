@@ -55,6 +55,10 @@ _ERRORS = [
     ("vertices 2\nL x\nR 1\n", "token vertex must be an integer, got 'x' (line 2)"),
     (_HEAD + "e 0 1.0\n", "edge endpoint must be an integer, got '1.0' (line 4)"),
     (_HEAD + "e 1 1\n", "self-loop at vertex 1 (line 4)"),
+    # every line break str.splitlines knows ends a line
+    ("vertices 2\rL 0\rR 1\re 1 1\r", "self-loop at vertex 1 (line 4)"),
+    ("vertices 2\r\nL 0\r\nR 1\r\ne 1 1\r\n", "self-loop at vertex 1 (line 4)"),
+    ("vertices 2\x0cL 0\nR 1\ne 1 1\n", "self-loop at vertex 1 (line 4)"),
     # an integer word is an optional '-' and decimal digits, nothing
     # else that int() reads
     ("vertices 1_0\nL 0\nR 1\n", "vertex count must be an integer, got '1_0' (line 1)"),
@@ -94,6 +98,12 @@ def test_missing_directives():
         ("vertices 2\nR 1", "missing L line (line 2)"),
         ("vertices 2\nL 0\n", "missing R line (line 3)"),
         ("", "missing vertices line (line 1)"),
+        # the line breaks of the table above count as they do there
+        ("vertices 2\rL 0\r", "missing R line (line 3)"),
+        ("vertices 2\r\nL 0\r\n", "missing R line (line 3)"),
+        ("vertices 2\x0cL 0\n", "missing R line (line 3)"),
+        ("vertices 2\rL 0", "missing R line (line 2)"),
+        ("\r\n", "missing vertices line (line 2)"),
     ]:
         with pytest.raises(GraphParseError) as info:
             parse_graph(text)
