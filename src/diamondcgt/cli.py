@@ -5,7 +5,8 @@ by default; ``--json`` switches every command to one JSON object with
 the fixed keys command, input, result, witnesses, and counts.  Exit
 status is 0 on success, 1 when a checked property fails or a
 counterexample is found, and 2 for usage errors, unreadable files and
-every package error (``DiamondCgtError``), with the message on stderr.
+every package error (``DiamondCgtError``), for input that nests too
+deeply and for running out of memory, with the message on stderr.
 One dispatcher, ``_run``, returns each command's record, and ``main``
 renders it once, as the JSON object or as the text lines.
 """
@@ -263,6 +264,9 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except RecursionError:
         print("error: input nests too deeply", file=sys.stderr)
+        return 2
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
         return 2
 
 

@@ -11,10 +11,13 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
+from typing import TYPE_CHECKING
 
 from ._kernel import dy_normalize
 from .errors import PreconditionError
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 
 class NumberSystem(Enum):
@@ -56,6 +59,10 @@ class Dyadic:
         return not system.integers_only or self.exponent == 0
 
     def as_fraction(self) -> Fraction:
+        # imported here, its only use, so importing the package (every CLI
+        # call, every worker) loads neither fractions nor decimal
+        from fractions import Fraction
+
         return Fraction(self.numerator, 1 << self.exponent)
 
     def __lt__(self, other: "Dyadic") -> bool:

@@ -21,12 +21,13 @@ the single slide rule, and its only switch is the variant's deletion: the
 edge-removal slide clears the highest present copy of the slid pair, the
 vertex-removal slide every copy at the departed vertex.  One decoder,
 ``_moves``, lists a token's slides from it as ``(destination, mask
-after)``; the move descriptors, legality, applying a move, the commuting
-check and the sweep's slide rows read those, and nothing else decides
-where a token may slide or which edges a slide deletes.  The solver
-numbers each root's edge tuple (copy i is bit i) and memoizes game ids
-per ``(variant, edge tuple, S)``, so roots on other edges redo the walk
-while the engine's hash-consing still gives them the same game ids.
+after)``; the move descriptors, legality, applying a move and
+``commuting_violation`` read those, the sweep reads its slide rows off
+``_successors`` itself, and nothing else decides where a token may slide
+or which edges a slide deletes.  The solver numbers each root's edge
+tuple (copy i is bit i) and memoizes game ids per ``(variant, edge
+tuple, S)``, so roots on other edges redo the walk while the engine's
+hash-consing still gives them the same game ids.
 ``YashimaSolver.solve_stats`` reads the game id, the tree size and the
 reachable count off one post-order walk.
 
@@ -43,19 +44,24 @@ copy, or None once the copy closes an odd cycle.  ``color_class`` folds
 the same ``_join`` over a board's edges, so there is one color rule, and
 two tokens are different-color when their labels differ.  The first time
 it meets a mask it gives it a board id and one slide row per vertex, the
-``(destination, board id after the slide)`` pairs read once from the
-slide rule with the other token parked on a vertex no edge touches.  Game
-ids are kept in one list per board, by token pair.  Every move deletes at
-least one edge copy, so a state's successors are placements with fewer
-edge copies on a subgraph, and the sweep order (vertex count, then edge
-count) has visited them already; each state is interned from two lists
-of successor ids, read from its rows by list index, with no edge tuple
-built or hashed, and the engine answers most of them from the lists as
-given.  The value laws are decided once per distinct game id, and every
-state is then checked against its game's verdict.  One commuting check
-over ``(destination, board)`` slides serves the sweep, which builds the
-slide lists only for different-color states where both players move, and
-``commuting_violation``, which passes masks of the state's own numbering.
+``(destination, board id after the slide)`` pairs read once off the Left
+successors of the parked state: the vertex's token on the board, the
+other token on a vertex no edge touches, each mask after mapped straight
+to its board id.  Game ids are kept in one list per board, by token
+pair.  Every move deletes at least one edge copy, so a state's successors
+are placements with fewer edge copies on a subgraph, and the sweep order
+(vertex count, then edge count) has visited them already; each state is
+interned from two lists of successor ids, read from its rows by list
+index, with no edge tuple built or hashed, and the engine answers most of
+them from the lists as given.  The value laws are decided once per
+distinct game id, and every state is then checked against its game's
+verdict.  One commuting check over ``(destination, board)`` slides
+serves the sweep, which passes it a state's two slide rows only for
+different-color states where both players move, and
+``commuting_violation``, which passes masks of the state's own
+numbering; the check itself skips slides onto the opponent.  It reads
+each two-slide board from ``dict()`` of a row, the token's slides on the
+board after the first slide, keyed by destination.
 """
 
 from __future__ import annotations
@@ -463,23 +469,31 @@ def _commuting_failure(moves, lt, rt, lefts, rights):
 
     A slide is a ``(destination, board after the slide)`` pair, and
     ``moves(board, token)`` lists every slide of a token on a board that
-    way, in edge order, before the opponent's vertex is ruled out.
-    ``lefts`` and ``rights`` are the two tokens' slides on the state.
+    way, in edge order, before the opponent's vertex is ruled out: a row
+    of the sweep, or ``_moves`` on the state's own numbering.
+    ``lefts`` and ``rights`` are the two tokens' slides on the state in
+    the same form, so the check itself skips a slide onto the opponent.
     Right's slide to d is still legal after Left's slide exactly when it
     is a slide on Left's board that does not end on Left's new vertex,
-    and the other way round.  Both orders leave the tokens on the two
-    destinations, so they agree when they reach one board.
+    and the other way round.  So each board after two slides is read from
+    ``dict()`` of the row of the first slide's board, keyed by
+    destination, and one comparison of the two destinations rules out a
+    shared vertex for both orders.  Both orders leave the tokens on the
+    two destinations, so they agree when they reach one board.
     """
-    if not (lefts and rights):
-        return None
-    # each Right slide's Left slides afterwards, by destination
-    after_rights = [{d: b for d, b in moves(br, lt) if d != dr} for dr, br in rights]
+    # each legal Right slide with the Left slides after it, by destination
+    after_rights = [
+        (right, dict(moves(right[1], lt))) for right in rights if right[0] != lt
+    ]
     for left in lefts:
         dl, bl = left
-        after_left = {d: b for d, b in moves(bl, rt) if d != dl}
-        for right, after_right in zip(rights, after_rights):
-            left_first = after_left.get(right[0])
-            if left_first is None:
+        if dl == rt:
+            continue
+        after_left = dict(moves(bl, rt))
+        for right, after_right in after_rights:
+            dr = right[0]
+            left_first = after_left.get(dr)
+            if left_first is None or dr == dl:
                 return left, right, "right move blocked after left"
             right_first = after_right.get(dl)
             if right_first is None:
@@ -508,9 +522,7 @@ def commuting_violation(state: YashimaState):
         return _moves(board, token, rule)
 
     mask = root >> 2 * rule.shift
-    lefts = [s for s in moves(mask, lt) if s[0] != rt]
-    rights = [s for s in moves(mask, rt) if s[0] != lt]
-    bad = _commuting_failure(moves, lt, rt, lefts, rights)
+    bad = _commuting_failure(moves, lt, rt, moves(mask, lt), moves(mask, rt))
     return None if bad is None else _move_pair(lt, rt, bad)
 
 
@@ -601,6 +613,10 @@ def verify_bipartite_simplicity(
         for k, pair in enumerate(itertools.combinations(range(span), 2))
     }
     rule = _rule(variant, blocks, span.bit_length())
+    shift = rule.shift
+    double = 2 * shift
+    # the parking vertex, 2**S - 1, is also the mask of a token field
+    low = (1 << shift) - 1
     # board mask -> board id, given the first time the sweep meets it
     boards: dict = {}
     # board id -> per vertex, the (destination, board id after) slides
@@ -681,7 +697,10 @@ def verify_bipartite_simplicity(
                 if board is None:
                     board = boards[mask] = len(rows)
                     rows.append([
-                        [(d, boards[after]) for d, after in _moves(mask, x, rule)]
+                        [
+                            (s >> shift & low, boards[s >> double])
+                            for s in _successors((mask << shift | x) << shift | low, rule)[0]
+                        ]
                         for x in range(span)
                     ])
                     games.append([None] * (span * span))
@@ -689,8 +708,10 @@ def verify_bipartite_simplicity(
                 placed = games[board]
                 for lt, rt in every if top == last else touching:
                     states_checked += 1
-                    left_ids = [games[b][d * span + rt] for d, b in row[lt] if d != rt]
-                    right_ids = [games[b][lt * span + d] for d, b in row[rt] if d != lt]
+                    lrow = row[lt]
+                    rrow = row[rt]
+                    left_ids = [games[b][d * span + rt] for d, b in lrow if d != rt]
+                    right_ids = [games[b][lt * span + d] for d, b in rrow if d != lt]
                     game = placed[lt * span + rt] = intern(left_ids, right_ids)
                     verdict = verdicts.get(game)
                     if verdict is None:
@@ -705,12 +726,11 @@ def verify_bipartite_simplicity(
                     different = _different_color(code, lt, rt)
                     if different:
                         different_color += 1
-                        commuting_pairs += len(left_ids) * len(right_ids)
                         if left_ids and right_ids:
-                            # the slides themselves, only where both move
-                            lefts = [s for s in row[lt] if s[0] != rt]
-                            rights = [s for s in row[rt] if s[0] != lt]
-                            bad = _commuting_failure(moves, lt, rt, lefts, rights)
+                            # the pairs and the slides themselves, only
+                            # where both move: the product is 0 elsewhere
+                            commuting_pairs += len(left_ids) * len(right_ids)
+                            bad = _commuting_failure(moves, lt, rt, lrow, rrow)
                     if simple and (not different or integer) and bad is None:
                         continue
                     found = []

@@ -318,6 +318,16 @@ def test_every_package_error_exits_2(capsys, monkeypatch, error):
     assert err == "error: raised on purpose\n"
 
 
+@pytest.mark.parametrize("json_flag", [[], ["--json"]], ids=["text", "json"])
+def test_out_of_memory_exits_2(capsys, monkeypatch, json_flag):
+    def exhausted(args, engine):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "_run", exhausted)
+    code, out, err = _run(capsys, *json_flag, "value", "*")
+    assert (code, out, err) == (2, "", "error: out of memory\n")
+
+
 def test_usage_errors_exit_2(capsys):
     with pytest.raises(SystemExit) as info:
         main(["diamond", "--property", "bogus", "*"])

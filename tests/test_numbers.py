@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -27,6 +31,24 @@ def test_dyadic_normalization_and_text():
     assert Dyadic(1, 1) < Dyadic(3, 2) < Dyadic(1)
     assert Dyadic(5, 0).is_integer and not Dyadic(5, 1).is_integer
     assert Dyadic(1, 1).in_system(D) and not Dyadic(1, 1).in_system(Z)
+
+
+def test_the_package_imports_without_fractions():
+    # only Dyadic.as_fraction needs fractions, and it imports it itself;
+    # a fresh interpreter without site packages shows what the package
+    # alone loads
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = (
+        "import sys\n"
+        "import diamondcgt.yashima, diamondcgt.graphio, diamondcgt.notation\n"
+        "import diamondcgt.diamond, diamondcgt.cli\n"
+        "print('fractions' in sys.modules)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(src))
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert (done.returncode, done.stdout, done.stderr) == (0, "False\n", "")
 
 
 def test_number_positions_are_the_canonical_trees(engine):

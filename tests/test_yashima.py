@@ -171,20 +171,31 @@ def test_commuting_violation_cases():
 
 
 def test_commuting_failure_reasons():
-    # Left on 0 slides to 2 (board "l"), Right on 1 to 3 (board "r"); a
-    # hand-made slide table reaches the reasons the real rule never gives
-    left, right = (2, "l"), (3, "r")
-    for after_left, after_right, reason in [
-        ([(3, "lr")], [(2, "lr")], None),
-        ([], [(2, "lr")], "right move blocked after left"),
-        ([(3, "lr")], [], "left move blocked after right"),
-        ([(3, "lr")], [(2, "rl")], "orders disagree"),
+    # Left on 0 slides to 2 (board "l"), Right on 1 to 3 (board "r") or,
+    # in the last row, to 2 as well; a hand-made slide table reaches the
+    # reasons the real rule never gives
+    left = (2, "l")
+    for right, after_left, after_right, reason in [
+        ((3, "r"), [(3, "lr")], [(2, "lr")], None),
+        ((3, "r"), [], [(2, "lr")], "right move blocked after left"),
+        ((3, "r"), [(3, "lr")], [], "left move blocked after right"),
+        ((3, "r"), [(3, "lr")], [(2, "rl")], "orders disagree"),
+        # the table lists Right's slide to 2 after Left's, but Left's
+        # token is on 2 by then
+        ((2, "r"), [(2, "lr")], [(2, "lr")], "right move blocked after left"),
     ]:
         table = {("l", 1): after_left, ("r", 0): after_right}
         got = yashima._commuting_failure(
             lambda board, token: table[board, token], 0, 1, [left], [right]
         )
         assert got == (None if reason is None else (left, right, reason))
+    # the slides come as a row gives them: those onto the opponent's
+    # vertex are skipped, and the table has no row for their boards
+    table = {("l", 1): [(3, "lr")], ("r", 0): [(2, "lr")]}
+    lefts, rights = [(1, "x"), left], [(0, "y"), (3, "r")]
+    assert yashima._commuting_failure(
+        lambda board, token: table[board, token], 0, 1, lefts, rights
+    ) is None
 
 
 def _small_bipartite_states(max_vertices, max_edges, variant, distinct=True):
