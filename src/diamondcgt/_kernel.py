@@ -20,9 +20,9 @@ Everything else expensive is memoized against the owning store:
   mapping h to whether g <= h, appended when ``intern`` creates g.  The
   one order recursion, ``_scan``, probes an option's row before recursing
   into it and stores the answers it finds there.  ``leq`` also stores the
-  pair it was asked, which the canonical rules ask again; ``compare`` and
-  ``outcome`` leave their own pair out, so a workload of one-off compares
-  keeps only what the recursion reads again,
+  pair it was asked, which the canonical rules ask again; ``compare``
+  leaves its own pair out, so a workload of one-off compares keeps only
+  what the recursion reads again,
 * ``canonical`` rewrites a node into the unique simplest equal-valued form
   bottom-up.  A node whose canonical options are all numbers is read as
   numbers: with a = Left's largest and b = Right's smallest, it is the
@@ -55,15 +55,6 @@ REL_LESS = 0
 REL_GREATER = 1
 REL_EQUAL = 2
 REL_FUZZY = 3
-
-OUT_LEFT = 0
-OUT_RIGHT = 1
-OUT_PREVIOUS = 2
-OUT_NEXT = 3
-
-# g against zero: greater means Left wins, less Right, equal the previous
-# player, fuzzy the next one
-_OUTCOME_OF_REL = (OUT_RIGHT, OUT_LEFT, OUT_PREVIOUS, OUT_NEXT)
 
 
 def dy_normalize(num, exp):
@@ -228,12 +219,6 @@ class GameStore:
     def node(self, g):
         return self._nodes[g]
 
-    def left_options(self, g):
-        return self._nodes[g][0]
-
-    def right_options(self, g):
-        return self._nodes[g][1]
-
     def leq(self, g, h):
         """Whether g <= h, stored in row g: the canonical and domination
         rules ask the same pairs again."""
@@ -289,9 +274,6 @@ class GameStore:
         if a:
             return REL_EQUAL if b else REL_LESS
         return REL_GREATER if b else REL_FUZZY
-
-    def outcome(self, g):
-        return _OUTCOME_OF_REL[self.compare(g, self.zero)]
 
     def birthday(self, g):
         return self._birthday[g]

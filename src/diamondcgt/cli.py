@@ -23,7 +23,13 @@ from .errors import DiamondCgtError
 from .graphio import load_graph, print_graph
 from .notation import format_canonical, format_position, format_value, parse_position
 from .values import NumberSystem
-from .yashima import Variant, YashimaSolver, color_class, verify_bipartite_simplicity
+from .yashima import (
+    STATE_BUDGET,
+    Variant,
+    YashimaSolver,
+    color_class,
+    verify_bipartite_simplicity,
+)
 
 class _ArgumentParser(argparse.ArgumentParser):
     """An argument that starts with ``-`` and a digit is an expression.
@@ -107,8 +113,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--state-budget",
         type=int,
-        default=2_000_000,
-        help="refuse sweeps estimated beyond this many states",
+        default=STATE_BUDGET,
+        help="refuse sweeps estimated beyond this many states or mask words",
     )
     return parser
 

@@ -14,11 +14,13 @@ from typing import Iterable
 
 from . import _kernel
 from .kernel import KERNEL_BACKEND
-from .values import Dyadic, NumberSystem, Outcome, Relation, ValueClass
+from .values import OTHER, Dyadic, NumberSystem, Outcome, Relation, ValueClass, ValueKind
 
-# indexed by the kernel's REL_* and OUT_* codes
+# Both tables are indexed by the kernel's REL_* code of a comparison: _REL
+# by g against h, _OUTCOME by g against zero, where greater means Left
+# wins, less Right, equal the previous player and fuzzy the next one.
 _REL = (Relation.LESS, Relation.GREATER, Relation.EQUAL, Relation.FUZZY)
-_OUT = (Outcome.LEFT_WINS, Outcome.RIGHT_WINS, Outcome.PREVIOUS_WINS, Outcome.NEXT_WINS)
+_OUTCOME = (Outcome.RIGHT_WINS, Outcome.LEFT_WINS, Outcome.PREVIOUS_WINS, Outcome.NEXT_WINS)
 
 
 class Engine:
@@ -51,10 +53,10 @@ class Engine:
         return self.store.intern(left, right)
 
     def left_options(self, g: int) -> tuple[int, ...]:
-        return self.store.left_options(g)
+        return self.store.node(g)[0]
 
     def right_options(self, g: int) -> tuple[int, ...]:
-        return self.store.right_options(g)
+        return self.store.node(g)[1]
 
     def node_count(self) -> int:
         return len(self.store)
@@ -75,7 +77,8 @@ class Engine:
         return _REL[self.store.compare(g, h)]
 
     def outcome(self, g: int) -> Outcome:
-        return _OUT[self.store.outcome(g)]
+        store = self.store
+        return _OUTCOME[store.compare(g, store.zero)]
 
     # -- simplification ----------------------------------------------------
 
@@ -94,7 +97,7 @@ class Engine:
         """The ``Dyadic`` of a normalized kernel pair, one per pair."""
         value = self._dyadics.get(pair)
         if value is None:
-            value = self._dyadics[pair] = Dyadic.from_pair(pair)
+            value = self._dyadics[pair] = Dyadic(*pair)
         return value
 
     def number_position(self, value: Dyadic | int) -> int:
@@ -113,15 +116,15 @@ class Engine:
     def classify_value(self, g: int) -> ValueClass:
         pair = self.store.member(g, False)
         if pair is not None:
-            return ValueClass.make_number(self.dyadic(pair))
+            return ValueClass(ValueKind.NUMBER, number=self.dyadic(pair))
         c = self.store.canonical(g)
         left, right = self.store.node(c)
         if len(left) == 1 and len(right) == 1:
             a = self.store.member(left[0], False)
             b = self.store.member(right[0], False)
             if a is not None and b is not None:
-                return ValueClass.make_pair(self.dyadic(a), self.dyadic(b))
-        return ValueClass.make_other()
+                return ValueClass(ValueKind.PAIR, left=self.dyadic(a), right=self.dyadic(b))
+        return OTHER
 
     def in_pair_set(self, g: int, system: NumberSystem) -> bool:
         """Whether g's value is expressible as {x1|x2} with x1, x2 in the

@@ -43,10 +43,6 @@ class Dyadic:
         object.__setattr__(self, "numerator", num)
         object.__setattr__(self, "exponent", exp)
 
-    @classmethod
-    def from_pair(cls, pair: tuple[int, int]) -> "Dyadic":
-        return cls(pair[0], pair[1])
-
     @property
     def pair(self) -> tuple[int, int]:
         return self.numerator, self.exponent
@@ -95,14 +91,14 @@ class Dyadic:
 class Relation(Enum):
     """How two positions compare in the game order."""
 
-    LESS = 0
-    GREATER = 1
-    EQUAL = 2
-    FUZZY = 3
+    LESS = "<"
+    GREATER = ">"
+    EQUAL = "="
+    FUZZY = "||"
 
     @property
     def symbol(self) -> str:
-        return {"LESS": "<", "GREATER": ">", "EQUAL": "=", "FUZZY": "||"}[self.name]
+        return self.value
 
     @property
     def less_or_fuzzy(self) -> bool:
@@ -143,18 +139,6 @@ class ValueClass:
     left: Dyadic | None = None
     right: Dyadic | None = None
 
-    @classmethod
-    def make_number(cls, value: Dyadic) -> "ValueClass":
-        return cls(ValueKind.NUMBER, number=value)
-
-    @classmethod
-    def make_pair(cls, left: Dyadic, right: Dyadic) -> "ValueClass":
-        return cls(ValueKind.PAIR, left=left, right=right)
-
-    @classmethod
-    def make_other(cls) -> "ValueClass":
-        return cls(ValueKind.OTHER)
-
     def in_pair_set(self, system: NumberSystem) -> bool:
         """Whether the value equals some {x1|x2} with x1, x2 in the system.
 
@@ -176,3 +160,8 @@ class ValueClass:
         if self.kind is ValueKind.PAIR:
             return "{%s|%s}" % (self.left, self.right)
         return "other"
+
+
+# the engine's one OTHER classification: it names no position, so every
+# classify_value call that finds no number or number pair returns it
+OTHER = ValueClass(ValueKind.OTHER)

@@ -77,6 +77,10 @@ from .engine import Engine
 from .errors import BoundsTooLargeError, InvalidStateError, PreconditionError
 from .values import NumberSystem, ValueClass
 
+# The most states one solve may visit, and the sweep's default state budget:
+# a solve that would visit more raises BoundsTooLargeError.
+STATE_BUDGET = 2_000_000
+
 
 class Variant(Enum):
     YASHIMA = "yashima"
@@ -144,10 +148,11 @@ class YashimaState:
             raise InvalidStateError("tokens may not share a vertex")
 
     def key(self) -> tuple:
-        """Transposition key: the variant, edges and tokens.
+        """Sort key of ``legal_moves``: the variant, edges and tokens.
 
-        The vertex count is deliberately absent so boards differing only in
-        trailing isolated vertices share game values.
+        The vertex count is deliberately absent, so boards differing only
+        in trailing isolated vertices have equal keys.  The solver keys its
+        memo on the packed state instead.
         """
         return (self.variant.value, self.graph.edges, self.left_token, self.right_token)
 
@@ -437,9 +442,11 @@ class YashimaSolver:
         slide deletes an edge copy, so the state graph has no cycles: no
         state's successors include a state whose marker is still on the
         stack, so each state is expanded once and ``waiting`` holds only
-        the open path.
+        the open path.  Expanding a state when ``STATE_BUDGET`` states are
+        already done or open raises ``BoundsTooLargeError``.
         """
         intern = self.engine.intern
+        budget = STATE_BUDGET
         game = memo.__getitem__
         done = memo if sizes is None else sizes
         stack = [root]
@@ -448,6 +455,8 @@ class YashimaSolver:
             state = stack.pop()
             if state >= 0:
                 if state not in done:
+                    if len(done) + len(waiting) >= budget:
+                        raise BoundsTooLargeError("solve visits more than %d states" % budget)
                     children = waiting[state] = _successors(state, rule)
                     stack.append(~state)
                     stack += children[0]
@@ -545,18 +554,24 @@ class SimplicityReport:
     distinct_games: int
 
 
-def _sweep_size(max_vertices: int, max_edges: int, budget: int) -> int:
-    """Token placements on every multigraph the sweep visits, counted up
-    to the first vertex count whose running total exceeds the budget."""
-    total = 0
+def _sweep_size(max_vertices: int, max_edges: int, budget: int) -> tuple[int, int]:
+    """Token placements and 64-bit board mask words on every multigraph
+    the sweep visits, counted up to the first vertex count where either
+    running total exceeds the budget.  Every board's mask holds max_edges
+    bits per vertex pair of the whole span, so many edge copies make few
+    boards but long masks, whose cost the words count."""
+    span = max(max_vertices, 1)
+    words = -(-(span * (span - 1) // 2 * max_edges) // 64)
+    states = masks = 0
     for n in range(2, max_vertices + 1):
         pairs = n * (n - 1) // 2
         # multisets of at most max_edges copies over the vertex pairs
         graphs = math.comb(pairs + max_edges, max_edges)
-        total += graphs * n * (n - 1)
-        if total > budget:
+        states += graphs * n * (n - 1)
+        masks += graphs * words
+        if max(states, masks) > budget:
             break
-    return total
+    return states, masks
 
 
 def verify_bipartite_simplicity(
@@ -564,7 +579,7 @@ def verify_bipartite_simplicity(
     max_vertices: int = 5,
     max_edges: int = 6,
     variant: Variant = Variant.YASHIMA,
-    state_budget: int = 2_000_000,
+    state_budget: int = STATE_BUDGET,
     max_counterexamples: int = 1,
 ) -> SimplicityReport:
     """Check the bipartite value laws on every small board.
@@ -587,7 +602,9 @@ def verify_bipartite_simplicity(
     that fails is reported with its own state.  The sweep stops once it
     holds max_counterexamples of them and reports exactly that many.
     Negative bounds and a max_counterexamples below 1 raise
-    ``PreconditionError``.
+    ``PreconditionError``.  A sweep of more than state_budget states, or
+    whose board masks take more than state_budget 64-bit words in all,
+    raises ``BoundsTooLargeError`` before it starts.
     """
     if max_vertices < 0 or max_edges < 0:
         raise PreconditionError("max_vertices and max_edges must be nonnegative")
@@ -595,10 +612,11 @@ def verify_bipartite_simplicity(
         raise PreconditionError("state_budget must be nonnegative")
     if max_counterexamples < 1:
         raise PreconditionError("max_counterexamples must be at least 1")
-    upper = _sweep_size(max_vertices, max_edges, state_budget)
-    if upper > state_budget:
+    states, words = _sweep_size(max_vertices, max_edges, state_budget)
+    if max(states, words) > state_budget:
         raise BoundsTooLargeError(
-            "sweep of at least %d states exceeds the budget of %d" % (upper, state_budget)
+            "sweep of at least %d states and %d mask words exceeds the budget of %d"
+            % (states, words, state_budget)
         )
     intern = engine.intern
     zsys = NumberSystem.Z

@@ -15,7 +15,7 @@ import pytest
 
 from diamondcgt.engine import Engine
 from diamondcgt.notation import format_canonical
-from diamondcgt.values import Dyadic, ValueClass
+from diamondcgt.values import Dyadic, ValueClass, ValueKind
 
 import oracle
 
@@ -153,7 +153,7 @@ def failing_laws(monkeypatch):
     that mixed up Left and Right would flag the wrong states.
     """
     in_pair_set = ValueClass.in_pair_set
-    one = ValueClass.make_number(Dyadic(1))
+    one = ValueClass(ValueKind.NUMBER, number=Dyadic(1))
     monkeypatch.setattr(
         ValueClass,
         "in_pair_set",

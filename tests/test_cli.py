@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from diamondcgt import cli
+from diamondcgt import cli, yashima
 from diamondcgt.cli import main
 from diamondcgt.diamond import PropertyName
 from diamondcgt.errors import (
@@ -326,6 +326,24 @@ def test_out_of_memory_exits_2(capsys, monkeypatch, json_flag):
     monkeypatch.setattr(cli, "_run", exhausted)
     code, out, err = _run(capsys, *json_flag, "value", "*")
     assert (code, out, err) == (2, "", "error: out of memory\n")
+
+
+@pytest.mark.parametrize("json_flag", [[], ["--json"]], ids=["text", "json"])
+def test_solve_past_the_state_budget_exits_2(capsys, monkeypatch, json_flag):
+    monkeypatch.setattr(yashima, "STATE_BUDGET", 1_000)
+    ladder = str(GRAPHS / "ladder_2x5.graph")
+    for command in ("value", "stats"):
+        code, out, err = _run(capsys, *json_flag, "yashima", command, ladder)
+        assert (code, out, err) == (2, "", "error: solve visits more than 1000 states\n")
+
+
+@pytest.mark.parametrize("json_flag", [[], ["--json"]], ids=["text", "json"])
+def test_sweep_of_long_masks_exits_2(capsys, json_flag):
+    # 201 boards of 2 vertices, on masks of up to 200 bits each
+    code, out, err = _run(capsys, *json_flag, "yashima", "verify", "--max-vertices", "2",
+                          "--max-edges", "200", "--state-budget", "500")
+    assert (code, out) == (2, "")
+    assert err == "error: sweep of at least 402 states and 804 mask words exceeds the budget of 500\n"
 
 
 def test_usage_errors_exit_2(capsys):

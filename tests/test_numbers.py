@@ -26,7 +26,6 @@ def test_dyadic_normalization_and_text():
     assert str(Dyadic(3)) == "3"
     assert str(Dyadic(-3, 2)) == "-3/4"
     assert Dyadic(1, 1).pair == (1, 1)
-    assert Dyadic.from_pair((6, 1)) == Dyadic(3)
     assert float(Dyadic(1, 1).as_fraction()) == 0.5
     assert Dyadic(1, 1) < Dyadic(3, 2) < Dyadic(1)
     assert Dyadic(5, 0).is_integer and not Dyadic(5, 1).is_integer

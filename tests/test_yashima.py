@@ -464,6 +464,35 @@ def test_sweep_budget(engine):
         verify_bipartite_simplicity(engine, state_budget=10)
 
 
+def test_sweep_budget_counts_mask_words(engine):
+    # 10**6 boards of 2 vertices make exactly the 2,000,000 placements the
+    # budget allows, but each mask holds up to 999,999 bits, 15,625 words
+    sizes = yashima._sweep_size(2, 999_999, yashima.STATE_BUDGET)
+    assert sizes == (2_000_000, 15_625_000_000)
+    # 1,953,248 placements on masks of 6 words each, 1,953,744 words in all
+    sizes = yashima._sweep_size(3, 123, yashima.STATE_BUDGET)
+    assert sizes == (1_953_248, 1_953_744)
+    # bounds that stay cheap to sweep should the words go uncounted: 402
+    # placements on 201 masks of 4 words
+    with pytest.raises(BoundsTooLargeError, match="402 states and 804 mask words"):
+        verify_bipartite_simplicity(engine, max_vertices=2, max_edges=200, state_budget=500)
+
+
+def test_solve_budget(monkeypatch):
+    # the ladder visits 1,206 states: a budget of that many solves it, one
+    # less refuses the 1,206th before it is expanded
+    monkeypatch.setattr(yashima, "STATE_BUDGET", 1_205)
+    solver = YashimaSolver(Engine())
+    with pytest.raises(BoundsTooLargeError, match="solve visits more than 1205 states"):
+        solver.to_game(_ladder())
+    with pytest.raises(BoundsTooLargeError, match="more than 1205"):
+        YashimaSolver(Engine()).solve_stats(_ladder())
+    monkeypatch.setattr(yashima, "STATE_BUDGET", 1_206)
+    stats = YashimaSolver(Engine()).solve_stats(_ladder())
+    assert (stats.expanded_nodes, stats.memo_entries) == (104_241, 1_206)
+    assert YashimaSolver(Engine()).to_game(_ladder()) >= 0
+
+
 @pytest.mark.parametrize(
     "bounds",
     [
