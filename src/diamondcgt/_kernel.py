@@ -24,10 +24,12 @@ Everything else expensive is memoized against the owning store:
   leaves its own pair out, so a workload of one-off compares keeps only
   what the recursion reads again,
 * ``canonical`` rewrites a node into the unique simplest equal-valued form
-  bottom-up.  A node whose canonical options are all numbers is read as
-  numbers: with a = Left's largest and b = Right's smallest, it is the
-  switch {a|b} when b <= a, else the simplest number strictly between
-  them (``dy_simplest``), as the simplicity theorem says.  Every other
+  bottom-up.  A node whose canonical options are numbers or number pairs
+  {p|q} (p >= q) is read from them by the simplicity theorem: it is the
+  simplest number x above every Left number and below every Right one,
+  with x >= q for a Left pair and x <= p for a Right pair
+  (``dy_simplest``), if one fits.  With numbers only and none fitting,
+  it is the switch of Left's largest and Right's smallest.  Every other
   node has its dominated options removed and its reversible ones
   bypassed,
 * ``number_position`` builds number trees on an explicit stack, memoized
@@ -333,13 +335,16 @@ class GameStore:
     def canonical(self, g):
         """The unique simplest position equal to g.
 
-        Canonicalizes the options first.  When they are all number trees
-        the answer is read from their values: the switch of Left's largest
-        and Right's smallest when that Right option is at most the Left
-        one, else the simplest number strictly between them, a missing
-        side leaving that bound open; g and the answer are memoized.
+        Canonicalizes the options first.  When each is a number tree or a
+        pair {p|q} of them, the answer is read from their values: the
+        simplest number x with x > n for each Left number n, x >= q for
+        each Left pair, x <= p for each Right pair and x < n for each
+        Right number n, a missing side leaving that bound open.  With
+        number options only and no x fitting, it is the switch of Left's
+        largest and Right's smallest; g and the answer are memoized.
 
-        Otherwise it removes dominated options, bypasses reversible ones
+        Otherwise, or when a pair is among the options and no x fits, it
+        removes dominated options, bypasses reversible ones
         and, if the bypass changed the form, removes dominated options
         once more.  That is enough: one removal pass drops every dominated
         option, and a removal changes neither the value nor any remaining
@@ -375,27 +380,65 @@ class GameStore:
 
     def _canonical_of_numbers(self, left, right):
         # the canonical form of {left | right} when every option is a
-        # number tree, else None.  With a = Left's largest and b = Right's
-        # smallest, b <= a gives the switch {A | B}: the other options are
-        # dominated, and A's Right options lie above a >= b, so A does not
-        # reverse (nor B, dually).  Otherwise, by the simplicity theorem,
-        # it is the simplest number strictly between a and b
+        # number tree or a pair {p|q} of them (so p >= q, a star {p|p}
+        # included), else None.  By the simplicity theorem it is the
+        # simplest number x with no Left option >= x and no Right option
+        # <= x, if one fits: x > n for a Left number n, x >= q for a Left
+        # pair and x <= p for a Right pair, x < n for a Right number n.
+        # An open and a closed bound at one value leave it open.  With
+        # numbers only and a = Left's largest >= b = Right's smallest,
+        # none fits and the form is the switch {A | B}: the other options
+        # are dominated, and A's Right options lie above a >= b, so A does
+        # not reverse (nor B, dually).  With a pair and nothing fitting it
+        # is None, for the general rewrite
         number = self._number
+        nodes = self._nodes
         a = b = None
+        a_closed = b_closed = pairs = False
         for x in left:
             v = number[x]
-            if v is None:
-                return None
+            closed = v is None
+            if closed:
+                xl, xr = nodes[x]
+                if len(xl) != 1 or len(xr) != 1 or number[xl[0]] is None:
+                    return None
+                v = number[xr[0]]
+                if v is None:
+                    return None
             if a is None or dy_lt(a, v):
-                a, big = v, x
+                a, a_closed, big = v, closed, x
+            elif a_closed and not closed and v == a:
+                a_closed = False
+            pairs |= closed
         for x in right:
             v = number[x]
-            if v is None:
-                return None
+            closed = v is None
+            if closed:
+                xl, xr = nodes[x]
+                if len(xl) != 1 or len(xr) != 1 or number[xr[0]] is None:
+                    return None
+                v = number[xl[0]]
+                if v is None:
+                    return None
             if b is None or dy_lt(v, b):
-                b, small = v, x
+                b, b_closed, small = v, closed, x
+            elif b_closed and not closed and v == b:
+                b_closed = False
+            pairs |= closed
         if a is not None and b is not None and not dy_lt(a, b):
-            return self.intern((big,), (small,))
+            if not pairs:
+                return self.intern((big,), (small,))
+            if a != b or not (a_closed and b_closed):
+                return None
+        if a_closed or b_closed:
+            # widen each closed bound by 2**-e to an open one: a number
+            # within that margin is born later than the bound itself, so
+            # the simplest number in the widened interval is unchanged
+            e = max(a[1] if a else 0, b[1] if b else 0) + 2
+            if a_closed:
+                a = (a[0] << (e - a[1])) - 1, e
+            if b_closed:
+                b = (b[0] << (e - b[1])) + 1, e
         return self.number_position(*dy_simplest(a, b))
 
     def tree_number(self, h):

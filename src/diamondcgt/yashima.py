@@ -435,37 +435,40 @@ class YashimaSolver:
         length is then the reachable count.  Each visited state's
         successors are generated exactly once either way.
 
-        The first pop of a state that is not done expands it: its
-        successors wait in ``waiting`` while the marker ``~state`` (a
-        negative int) and then every successor are pushed, and popping the
-        marker finishes the state from them.  That is safe because every
-        slide deletes an edge copy, so the state graph has no cycles: no
-        state's successors include a state whose marker is still on the
-        stack, so each state is expanded once and ``waiting`` holds only
-        the open path.  Expanding a state when ``STATE_BUDGET`` states are
-        already done or open raises ``BoundsTooLargeError``.
+        The first pop of a state that is not done expands it: the
+        ``[lefts, rights]`` list that ``_successors`` returns, with the
+        state appended, is pushed as the state's marker, then every
+        successor, and popping the marker finishes the state from it.
+        That is safe because every slide deletes an edge copy, so the
+        state graph has no cycles: no state's successors include a state
+        whose marker is still on the stack, so each state is expanded once
+        and the markers on the stack are the open path.  ``opened`` counts
+        them; expanding a state when ``STATE_BUDGET`` states are already
+        done or open raises ``BoundsTooLargeError``.
         """
         intern = self.engine.intern
         budget = STATE_BUDGET
         game = memo.__getitem__
         done = memo if sizes is None else sizes
+        size = None if sizes is None else sizes.__getitem__
         stack = [root]
-        waiting: dict = {}  # state -> its successors, while they are walked
+        opened = 0
         while stack:
-            state = stack.pop()
-            if state >= 0:
-                if state not in done:
-                    if len(done) + len(waiting) >= budget:
+            top = stack.pop()
+            if type(top) is int:
+                if top not in done:
+                    if len(done) + opened >= budget:
                         raise BoundsTooLargeError("solve visits more than %d states" % budget)
-                    children = waiting[state] = _successors(state, rule)
-                    stack.append(~state)
-                    stack += children[0]
-                    stack += children[1]
+                    opened += 1
+                    marker = _successors(top, rule)
+                    stack.append(marker)
+                    stack += marker[0]
+                    stack += marker[1]
+                    marker.append(top)
                 continue
-            state = ~state
-            lefts, rights = waiting.pop(state)
-            if sizes is not None:
-                size = sizes.__getitem__
+            opened -= 1
+            lefts, rights, state = top
+            if size is not None:
                 sizes[state] = 1 + sum(map(size, lefts)) + sum(map(size, rights))
                 if state in memo:
                     continue

@@ -5,8 +5,10 @@ from __future__ import annotations
 import random
 import time
 
+import pytest
+
 from diamondcgt.engine import Engine
-from diamondcgt.notation import format_position, format_value
+from diamondcgt.notation import format_position, format_value, parse_position
 from diamondcgt.values import Dyadic, Relation
 
 import oracle as o
@@ -130,9 +132,35 @@ def test_canonical_has_no_dominated_options(engine, day3_values, to_oracle):
             assert not any(o.leq(og, l) for l in a.left), "reversible Right option"
 
 
+@pytest.mark.parametrize(
+    "text, value",
+    [
+        # a pair {p|q} bounds a fitting number by a closed end: x >= q for
+        # Left, x <= p for Right, so a star's own number fits
+        ("{*|}", "0"),
+        ("{*|*}", "0"),
+        ("{{1|0}|}", "0"),
+        ("{{1|0}|1/2}", "0"),
+        ("{{1|0}|{0|-1}}", "0"),
+        ("{{2|1}|}", "1"),
+        # a number option's bound stays open, and when no number fits the
+        # general rewrite keeps the options
+        ("{0,*|0}", "{*,0|0}"),
+        ("{{2|1}|{0|-1}}", "{{2|1}|{0|-1}}"),
+    ],
+)
+def test_forms_over_number_pairs(engine, to_oracle, text, value):
+    g = parse_position(engine, text)
+    c = engine.canonical_form(g)
+    assert c == parse_position(engine, value)
+    assert format_value(engine, g) == value
+    assert o.eq(to_oracle(g), to_oracle(c))
+
+
 def _pool(engine):
-    # the numbers -3..3, ±1/2, ±1/4, ±3/4, 5/8 and 7/2, and the switches
-    # {1|0}, {2|1} and {1/2|-1/2}
+    # the numbers -3..3, ±1/2, ±1/4, ±3/4, 5/8 and 7/2, the switches
+    # {1|0}, {2|1} and {1/2|-1/2}, and the stars *, 1* and {1/2|1/2}, whose
+    # bounds on a fitting number are closed at both ends
     def num(n, e=0):
         return engine.number_position(Dyadic(n, e))
 
@@ -144,7 +172,8 @@ def _pool(engine):
         engine.intern((num(2),), (num(1),)),
         engine.intern((num(1, 1),), (num(-1, 1),)),
     ]
-    return numbers + switches
+    stars = [engine.star()] + [engine.intern((x,), (x,)) for x in (num(1), num(1, 1))]
+    return numbers + switches + stars
 
 
 def test_forms_over_numbers_and_switches(engine, to_oracle, monkeypatch):

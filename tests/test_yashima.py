@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from diamondcgt._kernel import GameStore
 from diamondcgt.diamond import ClosedSetPartition, PropertyName, verify_closed_set
 from diamondcgt.engine import Engine
 from diamondcgt.errors import BoundsTooLargeError, InvalidStateError, PreconditionError
@@ -369,17 +370,36 @@ def test_tron_ladder_statistics(engine):
 
 
 @pytest.mark.parametrize(
-    "variant, nodes", [(Variant.YASHIMA, 519), (Variant.TRON, 143)]
+    "variant, nodes", [(Variant.YASHIMA, 426), (Variant.TRON, 95)]
 )
 def test_ladder_node_count(variant, nodes):
     # the walk interns 399 (Yashima) and 81 (TRON) distinct forms, and
-    # classifying the root canonicalizes them, which adds the rest.  A
-    # form whose canonical options are all numbers goes straight to the
-    # number or switch it equals, and interns none of the intermediate
-    # forms the general rewrite passes through
+    # classifying the root canonicalizes them, which adds the rest.  Every
+    # canonical option there is a number or a pair of numbers, so each
+    # form goes straight to the number or switch it equals, and interns
+    # none of the intermediate forms the general rewrite passes through
     engine = Engine()
     YashimaSolver(engine).solve_stats(_ladder(variant))
     assert engine.node_count() == nodes
+
+
+@pytest.mark.parametrize("variant, value", [(Variant.YASHIMA, "{0|-3}"), (Variant.TRON, "{1|-1}")])
+def test_ladder_values_take_no_general_rewrite(variant, value, monkeypatch):
+    # canonical reads every ladder form from its number and pair options
+    # by the simplicity theorem: no option is removed as dominated or
+    # bypassed as reversible, and no order question is asked
+    calls = []
+    for name in ("remove_dominated", "bypass_reversible"):
+        step = getattr(GameStore, name)
+        monkeypatch.setattr(
+            GameStore, name, lambda self, g, step=step: calls.append(g) or step(self, g)
+        )
+    engine = Engine()
+    solver = YashimaSolver(engine)
+    solver.solve_stats(_ladder(variant))
+    assert calls == []
+    assert engine.stats()["leq"] == 0
+    assert format_value(engine, solver.to_game(_ladder(variant))) == value
 
 
 @pytest.mark.parametrize("variant", [Variant.YASHIMA, Variant.TRON])
@@ -625,3 +645,38 @@ def test_small_boards_follow_the_papers_proof_route(variant, certified, plain):
     ):
         report = verify_closed_set(engine, part, p)
         assert report.ok, (p, report)
+
+
+GRID_3X3 = tuple((v, v + 1) for v in range(9) if v % 3 < 2) + tuple((v, v + 3) for v in range(6))
+K_3_4 = tuple((u, v) for u in range(3) for v in range(3, 7))
+
+
+@pytest.mark.parametrize("variant", [Variant.YASHIMA, Variant.TRON])
+@pytest.mark.parametrize("vertices, edges", [(9, GRID_3X3), (7, K_3_4)], ids=["grid3x3", "K3,4"])
+def test_the_papers_theorem_past_the_sweeps_reach(variant, vertices, edges):
+    """Every placement on the 3x3 grid and on K3,4, boards denser than
+    the sweep's 5 vertices and 6 edges, and every state its play reaches:
+    each value is in the integer pair set, and each different-color
+    state's value is an integer.  A reached state is colored on its own
+    remaining edges, read from its mask in the solver's memo, so tokens
+    in different components count as different-color."""
+    engine = Engine()
+    solver = YashimaSolver(engine)
+    graph = MultiGraph(vertices, edges)
+    for lt, rt in itertools.permutations(range(vertices), 2):
+        solver.to_game(YashimaState(graph, lt, rt, variant))
+    # every placement shares one numbering, so one memo holds every
+    # reached state of every placement
+    (rule, memo), _ = solver._numbered(YashimaState(graph, 0, 1, variant))
+    shift = rule.shift
+    low = (1 << shift) - 1
+    different = 0
+    for state, game in memo.items():
+        mask = state >> 2 * shift
+        present = [edge for i, edge in enumerate(graph.edges) if mask >> i & 1]
+        code = yashima._bipartition(vertices, present)
+        assert engine.classify_value(game).in_pair_set(NumberSystem.Z), state
+        if yashima._different_color(code, state >> shift & low, state & low):
+            different += 1
+            assert engine.as_number(game, NumberSystem.Z) is not None, state
+    assert 0 < different < len(memo)
