@@ -18,11 +18,11 @@ Everything else expensive is memoized against the owning store:
 * ``leq`` drives the partial order and with it outcomes, domination and
   reversibility checks; its memo is one row per node, row g a dict
   mapping h to whether g <= h, appended when ``intern`` creates g.  The
-  one order recursion, ``_scan``, probes an option's row before recursing
-  into it and stores the answers it finds there.  ``leq`` also stores the
-  pair it was asked, which the canonical rules ask again; ``compare``
-  leaves its own pair out, so a workload of one-off compares keeps only
-  what the recursion reads again,
+  one order recursion, ``_scan``, is the memo's only writer: it probes an
+  option's row before recursing into it and stores the answers it finds
+  there.  ``leq`` and ``compare`` read the pair they were asked and never
+  store it, so the memo keeps only option pairs, the ones a recursion
+  reads again,
 * ``canonical`` rewrites a node into the unique simplest equal-valued form
   bottom-up.  A node whose canonical options are numbers or number pairs
   {p|q} (p >= q) is read from them by the simplicity theorem: it is the
@@ -38,10 +38,6 @@ Everything else expensive is memoized against the owning store:
   the integer or the dyadic number system: the optimal stop and the
   player's options that realize it, found in one pass over the options.
 
-``compare`` answers one order question instead of two when g <= h, g != h
-and both are canonical: distinct canonical forms are never equal, so the
-answer is less without asking whether h <= g.
-
 Each rule is written once for both players and takes a ``side``, 0 for
 Left and 1 for Right: Right's rule is Left's with the order reversed.
 
@@ -51,7 +47,7 @@ numerator is odd.  Using bare tuples keeps this module self-contained and
 cheap; the typed wrapper lives one layer up.
 """
 
-from .errors import MalformedGameError
+from .errors import MalformedGameError, PreconditionError
 
 REL_LESS = 0
 REL_GREATER = 1
@@ -62,7 +58,7 @@ REL_FUZZY = 3
 def dy_normalize(num, exp):
     """Reduce num / 2**exp so exp == 0 or num is odd."""
     if exp < 0:
-        raise ValueError("exponent must be nonnegative")
+        raise PreconditionError("exponent must be nonnegative")
     if num == 0:
         return 0, 0
     while exp > 0 and num % 2 == 0:
@@ -222,20 +218,18 @@ class GameStore:
         return self._nodes[g]
 
     def leq(self, g, h):
-        """Whether g <= h, stored in row g: the canonical and domination
-        rules ask the same pairs again."""
-        row = self._leq[g]
-        got = row.get(h)
+        """Whether g <= h: read from row g, or scanned without storing it."""
+        got = self._leq[g].get(h)
         if got is None:
-            got = row[h] = self._scan(g, h)
+            return self._scan(g, h)
         return got
 
     def _scan(self, g, h):
         # the order rule for a pair missing from its row: g <= h fails
         # exactly when some gL >= h or some hR <= g.  Each option's answer
         # is read from its row first and stored there on a miss, so the
-        # recursion only runs for pairs never computed; the caller decides
-        # whether to store the answer for (g, h) itself
+        # recursion only runs for pairs never computed.  Those option pairs
+        # are all the memo ever holds: (g, h) itself is not stored
         rows = self._leq
         nodes = self._nodes
         hrow = rows[h]
@@ -256,20 +250,16 @@ class GameStore:
     def compare(self, g, h):
         """The relation of g to h: less, greater, equal or fuzzy.
 
-        Both rows are read first.  A pair missing from them is scanned
-        without storing its own answer, which keeps an all-pairs workload
-        from filling the memo with pairs never read again; asking again
-        costs one row read per option, because the pairs the recursion
-        met are stored as in ``leq``.
+        Both questions are read as in ``leq``: from the rows first, and a
+        pair missing from them is scanned without storing its own answer,
+        which keeps an all-pairs workload from filling the memo with pairs
+        never read again.  Asking again costs one row read per option,
+        because the pairs the recursion met are stored.
         """
         rows = self._leq
         a = rows[g].get(h)
         if a is None:
             a = self._scan(g, h)
-        if a and g != h:
-            canonical = self._canonical
-            if canonical.get(g) == g and canonical.get(h) == h:
-                return REL_LESS
         b = rows[h].get(g)
         if b is None:
             b = self._scan(h, g)

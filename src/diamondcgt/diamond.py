@@ -126,10 +126,6 @@ class PropertyReport:
     witness: Witness | None = None
 
 
-# the one report of each property failing: it names no position
-_FAILED = {p: PropertyReport(False, p) for p in PropertyName}
-
-
 def has_diamond(engine: Engine, g: int, system: NumberSystem) -> PropertyReport:
     """The general certificate: membership in the system, or a guide pair
     with some number of the system strictly usable between them; this is
@@ -142,10 +138,9 @@ def has_property(engine: Engine, g: int, p: PropertyName) -> PropertyReport:
     """Whether ``g`` has property ``p``, with a witness when it does.
 
     A member of the property's system holds outright; otherwise the first
-    guide pair with a witness makes it hold.  Reports that name no
-    position are shared: a member's report is built once per value and
-    tag and kept in ``engine.member_reports``, and every failure of ``p``
-    is one constant report.  A report with a guide pair is built per call.
+    guide pair with a witness makes it hold.  A member's report is built
+    once per value and tag and kept in ``engine.member_reports``; a
+    report with a guide pair, and a failure, is built per call.
     """
     integer_system = _RULES[p][0].integers_only
     store = engine.store
@@ -164,7 +159,7 @@ def has_property(engine: Engine, g: int, p: PropertyName) -> PropertyReport:
             witness = _pair_witness(engine, p, gl, gr)
             if witness is not None:
                 return PropertyReport(True, p, witness)
-    return _FAILED[p]
+    return PropertyReport(False, p)
 
 
 def _pair_witness(engine: Engine, p: PropertyName, gl: int, gr: int) -> Witness | None:
@@ -233,10 +228,11 @@ def verify_closed_set(
     The first failure is reported with the lowest offending id.
 
     The dyadic refinements certify a set only as a whole, so they demand
-    an empty plain part; passing one anyway raises ValueError.
+    an empty plain part; passing one anyway raises PreconditionError, as
+    do parts that overlap.
     """
     if part.certified & part.plain:
-        raise ValueError("partition parts overlap")
+        raise PreconditionError("partition parts overlap")
     # a refinement (any rule with a relation) in the integer system adds the
     # second-move condition and so supports a nontrivial partition; in the
     # dyadic system it forces everything into the certified part, because
@@ -244,7 +240,7 @@ def verify_closed_set(
     system, _, _, relation = _RULES[p]
     refinement = relation is not None
     if refinement and not system.integers_only and part.plain:
-        raise ValueError(
+        raise PreconditionError(
             "property %s supports only a total partition (no plain part)"
             % p.value
         )

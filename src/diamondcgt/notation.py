@@ -79,9 +79,8 @@ def parse_position(engine: Engine, text: str) -> int:
     NonDyadicDenominatorError for a denominator that is not a power of
     two.  Each game is interned the moment it is complete, so options are
     built left to right before the game that holds them, and options
-    completed before a parse error stay interned; ``*`` is interned once,
-    at its first occurrence.  Open braces sit on an explicit stack, so
-    nesting depth costs no recursion.
+    completed before a parse error stay interned.  Open braces sit on an
+    explicit stack, so nesting depth costs no recursion.
     """
     bad = _BAD_CHARACTER.search(text)
     if bad is not None:
@@ -90,7 +89,6 @@ def parse_position(engine: Engine, text: str) -> int:
     tokens.append("")  # end of input
     stack: list[list] = []  # open braces, innermost last: [left, right, on_right]
     closer = None  # the token that may end an empty option list here
-    star = None  # interned at the first ``*``
     i = 0
     while True:
         # a game starts at tokens[i]
@@ -101,9 +99,7 @@ def parse_position(engine: Engine, text: str) -> int:
             i += 1
             continue
         if tok == "*":
-            if star is None:
-                star = engine.star()
-            game = star
+            game = engine.star()
             i += 1
         elif tok == "-" or tok.isdecimal():
             start = i

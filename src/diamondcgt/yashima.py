@@ -347,16 +347,17 @@ def color_class(state: YashimaState) -> ColorClass:
     """Token coloring: different components or opposite classes both count
     as different-color; any odd cycle anywhere makes the board unusable.
 
-    Only the vertices up to the highest edge endpoint are labelled: those
-    above it are isolated, so a token there has a component of its own.
+    Only the vertices that edges touch are labelled, renumbered 0..k-1 in
+    ascending order: any other vertex is isolated, so a token there has a
+    component of its own.
     """
     edges = state.graph.edges
-    lt, rt = state.left_token, state.right_token
-    top = max([v for _, v in edges], default=-1)
-    code = _bipartition(top + 1, edges)
+    rank = {v: i for i, v in enumerate(sorted({v for edge in edges for v in edge}))}
+    code = _bipartition(len(rank), [(rank[u], rank[v]) for u, v in edges])
     if code is None:
         return ColorClass.NOT_BIPARTITE
-    if max(lt, rt) > top or _different_color(code, lt, rt):
+    lt, rt = rank.get(state.left_token), rank.get(state.right_token)
+    if lt is None or rt is None or _different_color(code, lt, rt):
         return ColorClass.DIFFERENT_COLOR
     return ColorClass.SAME_COLOR
 

@@ -9,7 +9,11 @@ every run sees the same positions.
 
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -30,6 +34,25 @@ def _subsets(items):
     for item in items:
         out.extend([s + (item,) for s in out])
     return out
+
+
+@pytest.fixture(scope="session")
+def capped_python():
+    """Run Python source in a child whose address space is capped at
+    512 MB, with the package's source on its path: a check that would
+    take gigabytes fails there at once with MemoryError instead of taking
+    the host's memory."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    cap = "import resource\nresource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))\n"
+
+    def run(code, *argv):
+        return subprocess.run(
+            [sys.executable, "-c", cap + code, *argv], env=env,
+            capture_output=True, text=True, timeout=60,
+        )
+
+    return run
 
 
 @pytest.fixture(scope="session")

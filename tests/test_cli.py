@@ -156,6 +156,17 @@ def test_yashima_classify(capsys):
     assert out == "different-color\n"
 
 
+def test_yashima_classify_a_sparse_board_with_a_high_vertex_id(tmp_path, capped_python):
+    # one edge to vertex 999,999,999: classify labels only the two
+    # vertices it touches, so it answers under the child's 512 MB cap
+    board = tmp_path / "sparse.graph"
+    board.write_text("vertices 1000000000\nL 0\nR 999999999\ne 0 999999999\n")
+    code = "import sys\nfrom diamondcgt.cli import main\nsys.exit(main(sys.argv[1:]))\n"
+    for command, answer in (("classify", "different-color"), ("value", "0")):
+        done = capped_python(code, "yashima", command, str(board))
+        assert (done.returncode, done.stdout, done.stderr) == (0, answer + "\n", "")
+
+
 def test_yashima_stats(capsys):
     code, payload, _ = _run_json(
         capsys, "yashima", "stats", str(GRAPHS / "ladder_2x5.graph")

@@ -234,13 +234,13 @@ def test_stats_count_the_day2_order_memo():
     stats = engine.stats()
     assert len(values) == 22
     assert stats["nodes"] == engine.node_count() == 256
-    # canonicalizing stores 26 pairs, and the compares add the 137 that
-    # their recursion met on an option.  Every option here is a number or
-    # the pair *, and canonical answers 85 of the 249 forms it computes
-    # without an order question: those with only number options, and
-    # those some number fits.  compare stores none of the 484 pairs asked
-    # of it; 324 of them no recursion met, and storing them would make 487
-    assert stats["leq"] == 163
+    # only the order recursion stores pairs, the ones it met on an option:
+    # canonicalizing stores 7, and the compares add 153.  Every option
+    # here is a number or the pair *, and canonical answers 85 of the 249
+    # forms it computes without an order question: those with only number
+    # options, and those some number fits.  Neither leq nor compare stores
+    # the pair it was asked; 324 of the 484 compared pairs no recursion met
+    assert stats["leq"] == 160
     assert stats["canonical"] == 256
     assert stats["left_stops"] == stats["right_stops"] == 0
     # every option list here reaches intern sorted and distinct
@@ -258,10 +258,10 @@ def test_stats_count_the_day3_canonicalization():
     # again only after a bypass changed it; a form whose options are
     # numbers or pairs of numbers asks no order question at all when it
     # has only number options or some number fits it, which holds for 437
-    # of the 8,953 forms computed.  The antichain build's compares store
-    # none of their own pairs; storing them would make 19,133 order
-    # pairs, and a removal run again on a form it had already cleared
-    # would add more
+    # of the 8,953 forms computed.  Only the order recursion stores pairs,
+    # the ones it met on an option: the day-2 build leaves 7, the
+    # antichain compares bring the count to 157, and canonicalization,
+    # which asks leq 90,802 times about 16,745 distinct pairs, to 3,577
     engine = Engine()
     zero = engine.zero
     day1 = (
@@ -292,7 +292,7 @@ def test_stats_count_the_day3_canonicalization():
     assert len(values) == 1474
     assert stats["nodes"] == 10037
     assert stats["canonical"] == 9986
-    assert stats["leq"] == 18948
+    assert stats["leq"] == 3577
 
 
 def _fresh_pair():
@@ -307,26 +307,19 @@ def _fresh_pair():
 
 
 def test_compare_stores_what_its_recursion_met_but_not_its_pair():
-    engine, g, h = _fresh_pair()
-    rows = engine.store._leq
-    relation = engine.compare(g, h)
-    assert h not in rows[g] and g not in rows[h]
-    # the option pairs the recursion met are stored, so asking again
-    # reads them and stores nothing new
-    stored = engine.stats()["leq"]
-    assert stored > 0
-    assert engine.compare(g, h) is relation
-    assert engine.stats()["leq"] == stored
-    assert h not in rows[g] and g not in rows[h]
-
-
-def test_leq_stores_the_pair_it_was_asked():
-    engine, g, h = _fresh_pair()
-    answer = engine.leq(g, h)
-    assert engine.store._leq[g][h] == answer
-    stored = engine.stats()["leq"]
-    assert engine.leq(g, h) == answer
-    assert engine.stats()["leq"] == stored
+    # leq keeps the same rule: neither stores the pair it was asked
+    for ask in (Engine.compare, Engine.leq):
+        engine, g, h = _fresh_pair()
+        rows = engine.store._leq
+        answer = ask(engine, g, h)
+        assert h not in rows[g] and g not in rows[h]
+        # the option pairs the recursion met are stored, so asking again
+        # reads them and stores nothing new
+        stored = engine.stats()["leq"]
+        assert stored > 0
+        assert ask(engine, g, h) == answer
+        assert engine.stats()["leq"] == stored
+        assert h not in rows[g] and g not in rows[h]
 
 
 _RELATION_OF_LEQS = {
@@ -338,7 +331,6 @@ _RELATION_OF_LEQS = {
 
 
 def test_compare_matches_two_leqs_on_day3_values(engine, day3_values):
-    # compare answers less after one leq when both sides are canonical;
     # every pair of distinct values, in both orders, against the relation
     # that two explicit leq calls give
     store = engine.store
@@ -352,8 +344,8 @@ def test_compare_matches_two_leqs_on_day3_values(engine, day3_values):
 
 
 def test_compare_keeps_equal_forms_equal():
-    # g <= h with g != h is less only when both are canonical: equal
-    # forms that are not canonical, or with one canonical side, stay equal
+    # equal forms that are not canonical, or with one canonical side,
+    # are equal, not less
     engine = Engine()
     zero, star = engine.zero, engine.star()
     minus_one, one = engine.number_position(-1), engine.number_position(1)

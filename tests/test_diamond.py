@@ -438,7 +438,7 @@ def test_dyadic_family_demands_total_partition(engine):
     part = ClosedSetPartition.split(
         certified=frozenset({engine.zero}), plain=frozenset({star})
     )
-    with pytest.raises(ValueError):
+    with pytest.raises(PreconditionError):
         verify_closed_set(engine, part, PropertyName.TRIANGLE)
 
 
@@ -447,7 +447,7 @@ def test_partition_validation(engine):
     star = engine.star()
     bad = ClosedSetPartition.split(certified={zero, star}, plain={star})
     assert bad.all_positions == frozenset({zero, star})
-    with pytest.raises(ValueError, match="overlap"):
+    with pytest.raises(PreconditionError, match="overlap"):
         verify_closed_set(engine, bad, PropertyName.DIAMOND)
 
 

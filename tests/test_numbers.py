@@ -6,11 +6,14 @@ import os
 import random
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+from diamondcgt._kernel import dy_lt, dy_normalize, dy_simplest
 from diamondcgt.engine import Engine
+from diamondcgt.errors import PreconditionError
 from diamondcgt.notation import parse_position
 from diamondcgt.values import Dyadic, NumberSystem, Relation, ValueKind
 
@@ -30,6 +33,11 @@ def test_dyadic_normalization_and_text():
     assert Dyadic(1, 1) < Dyadic(3, 2) < Dyadic(1)
     assert Dyadic(5, 0).is_integer and not Dyadic(5, 1).is_integer
     assert Dyadic(1, 1).in_system(D) and not Dyadic(1, 1).in_system(Z)
+
+
+def test_a_negative_exponent_is_a_precondition_error():
+    with pytest.raises(PreconditionError, match="exponent must be nonnegative"):
+        Dyadic(1, -1)
 
 
 def test_the_package_imports_without_fractions():
@@ -261,6 +269,61 @@ def test_simplest_between_matches_the_referee(
         his = tuple(rng.sample(pool, rng.randint(0, 3)))
         expected = _referee_simplest(engine, los, his, system)
         assert engine.simplest_between(los, his, system) == expected, (los, his)
+
+
+def _simplest_by_days(lo, hi):
+    """The least-born number strictly between lo and hi (Fractions, or
+    None for no bound), searched day by day.
+
+    Day 0 makes 0, and each later day makes one number in each gap between
+    the numbers made so far and one past each end.  Until a number made
+    lies inside the interval, the interval lies in one gap, so only the
+    number made there can be the next inside: the search keeps that gap's
+    ends, below and above, and makes one number a day.
+    """
+    below = above = None
+    x = Fraction(0)
+    while (lo is not None and x <= lo) or (hi is not None and x >= hi):
+        if lo is not None and x <= lo:
+            below = x
+        else:
+            above = x
+        if above is None:
+            x = below + 1
+        elif below is None:
+            x = above - 1
+        else:
+            x = (below + above) / 2
+    return x
+
+
+def test_dy_simplest_matches_a_day_by_day_search():
+    # bounds that are absent, integers, or dyadics of up to 40 halvings;
+    # about half of the pairs lie k / 2**f apart, with k <= 3 and f <= 40
+    rng = random.Random(2901)
+
+    def dyadic():
+        e = rng.choice((0, rng.randint(1, 40)))
+        return dy_normalize(rng.randint(-20 << e, 20 << e), e)
+
+    def fraction(pair):
+        return None if pair is None else Fraction(pair[0], 1 << pair[1])
+
+    checked = 0
+    for _ in range(3000):
+        lo = None if rng.random() < 0.2 else dyadic()
+        if lo is not None and rng.random() < 0.5:
+            f = rng.randint(0, 40)
+            hi = dy_normalize((lo[0] << f) + (rng.randint(1, 3) << lo[1]), lo[1] + f)
+        else:
+            hi = None if rng.random() < 0.2 else dyadic()
+        if lo is not None and hi is not None and not dy_lt(lo, hi):
+            continue
+        x = _simplest_by_days(fraction(lo), fraction(hi))
+        e = x.denominator.bit_length() - 1
+        assert dy_simplest(lo, hi) == (x.numerator, e), (lo, hi)
+        checked += 1
+    assert checked > 2000
 
 
 def test_simplest_between_answers_past_32_halvings(engine):

@@ -121,6 +121,28 @@ def test_color_class():
     assert color_class(YashimaState(huge_triangle, 0, 5)) is ColorClass.NOT_BIPARTITE
 
 
+def test_color_class_labels_only_the_touched_vertices(capped_python):
+    # edges up to vertex 999,999,999 on a board of a billion vertices:
+    # labelling every vertex up to the highest endpoint would take
+    # gigabytes, more than the child's cap
+    code = (
+        "from diamondcgt.yashima import MultiGraph, YashimaState, color_class\n"
+        "top = 10**9 - 1\n"
+        "def ask(edges, lt, rt):\n"
+        "    state = YashimaState(MultiGraph(10**9, edges), lt, rt)\n"
+        "    print(color_class(state).value)\n"
+        "ask(((0, top),), 0, top)\n"
+        "ask(((0, top),), 5, top)\n"
+        "ask(((7, top), (top - 3, top)), 7, top - 3)\n"
+        "ask(((5, top), (5, top - 1), (top - 1, top)), 0, 5)\n"
+    )
+    done = capped_python(code)
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout.split() == [
+        "different-color", "different-color", "same-color", "not-bipartite",
+    ]
+
+
 def test_color_class_agrees_with_every_proper_coloring():
     # the referee colors by brute force: a board is bipartite when some 0/1
     # coloring gives the ends of every edge two colors, and two tokens are
