@@ -44,12 +44,14 @@ copy, or None once the copy closes an odd cycle.  ``color_class`` folds
 the same ``_join`` over a board's edges, so there is one color rule, and
 two tokens are different-color when their labels differ.  The first time
 it meets a mask it gives it a board id and one slide row per vertex, the
-``(destination, board id after the slide)`` pairs read once off the Left
-successors of the parked state: the vertex's token on the board, the
-other token on a vertex no edge touches, each mask after mapped straight
-to its board id.  Game ids are kept in one list per board, by token
-pair.  Every move deletes at least one edge copy, so a state's successors
-are placements with fewer edge copies on a subgraph, and the sweep order
+tuple of ``(destination, board id after the slide)`` pairs read once off
+the Left successors of the parked state: the vertex's token on the
+board, the other token on a vertex no edge touches, each mask after
+mapped straight to its board id.  The rows of all boards sit in one flat
+list at ``board * span + vertex``, and every empty row is the shared
+``()``.  Game ids are kept in one list per board, by token pair.  Every
+move deletes at least one edge copy, so a state's successors are
+placements with fewer edge copies on a subgraph, and the sweep order
 (vertex count, then edge count) has visited them already; each state is
 interned from two lists of successor ids, read from its rows by list
 index, with no edge tuple built or hashed, and the engine answers most of
@@ -599,8 +601,9 @@ def verify_bipartite_simplicity(
     The sweep visits boards by vertex count, then by edge count, and a
     successor always has fewer edge copies, so each state is interned from
     the ids its successors got earlier in the same sweep, with no walk.
-    Those ids are read by list index from per-board slide rows and game
-    lists; the report counts the board ids given and the distinct games.
+    Those ids are read by list index from the slide rows, one tuple per
+    board and vertex in one flat list, and from per-board game lists; the
+    report counts the board ids given and the distinct games.
     The value laws are decided once per game id and every state is checked
     against that verdict: states sharing a game each count, and each one
     that fails is reported with its own state.  The sweep stops once it
@@ -641,14 +644,18 @@ def verify_bipartite_simplicity(
     low = (1 << shift) - 1
     # board mask -> board id, given the first time the sweep meets it
     boards: dict = {}
-    # board id -> per vertex, the (destination, board id after) slides
+    # the slide rows of every board in one flat list: at board * span +
+    # vertex, the tuple of that vertex's (destination, board id after)
+    # slides on the board.  A tuple has no spare slots, the collector
+    # stops tracking tuples of ints, and every empty row is the shared ().
     rows: list = []
-    # board id -> game id of each swept placement, at lt * span + rt.  A
-    # slide deletes at least the edge copy it traverses, so a successor
-    # lies on a subgraph (bipartite too) with fewer edge copies.  Its
-    # placement is swept on max(endpoint, token) + 1 vertices, at most n,
-    # with fewer edges, and the loops below reach it before the state
-    # itself: every successor's id is here by the time a state is interned.
+    # board id -> one list of the game ids of its swept placements, at
+    # lt * span + rt.  A slide deletes at least the edge copy it traverses,
+    # so a successor lies on a subgraph (bipartite too) with fewer edge
+    # copies.  Its placement is swept on max(endpoint, token) + 1
+    # vertices, at most n, with fewer edges, and the loops below reach it
+    # before the state itself: every successor's id is here by the time a
+    # state is interned.
     games: list = []
     # game id -> (value, value in the integer pair set, value an integer)
     verdicts: dict = {}
@@ -659,7 +666,7 @@ def verify_bipartite_simplicity(
     commuting_pairs = 0
 
     def moves(board, token):
-        return rows[board][token]
+        return rows[board * span + token]
 
     def report():
         return SimplicityReport(
@@ -717,21 +724,22 @@ def verify_bipartite_simplicity(
                 graphs_checked += 1
                 board = boards.get(mask)
                 if board is None:
-                    board = boards[mask] = len(rows)
-                    rows.append([
-                        [
+                    board = boards[mask] = len(games)
+                    # tuple([...]) builds faster than tuple() of a generator
+                    rows += [
+                        tuple([
                             (s >> shift & low, boards[s >> double])
                             for s in _successors((mask << shift | x) << shift | low, rule)[0]
-                        ]
+                        ])
                         for x in range(span)
-                    ])
+                    ]
                     games.append([None] * (span * span))
-                row = rows[board]
+                base = board * span
                 placed = games[board]
                 for lt, rt in every if top == last else touching:
                     states_checked += 1
-                    lrow = row[lt]
-                    rrow = row[rt]
+                    lrow = rows[base + lt]
+                    rrow = rows[base + rt]
                     left_ids = [games[b][d * span + rt] for d, b in lrow if d != rt]
                     right_ids = [games[b][lt * span + d] for d, b in rrow if d != lt]
                     game = placed[lt * span + rt] = intern(left_ids, right_ids)
