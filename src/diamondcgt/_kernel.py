@@ -3,11 +3,7 @@
 Positions live in a GameStore as append-only nodes addressed by integer id.
 A node is a pair of id tuples (Left options, Right options), deduplicated
 and sorted, so structurally identical game trees share a single id and tree
-isomorphism checks reduce to id equality.  ``intern`` looks the option
-lists up as given before it sorts them: the index also maps each unsorted
-or repeating pair of lists that once named a known node to that node, so
-a caller that builds its lists the same way each time never pays for the
-sort again.  Option ids always point at
+isomorphism checks reduce to id equality.  Option ids always point at
 earlier nodes, which makes the option graph acyclic by construction, and
 lets ``intern`` record two facts of a new node from its options' entries:
 its birthday and the number its shape spells, if any.  Such a number tree
@@ -15,23 +11,11 @@ is canonical from birth.  ``birthday`` and ``tree_number`` read them.
 
 Everything else expensive is memoized against the owning store:
 
-* ``leq`` drives the partial order and with it outcomes, domination and
-  reversibility checks; its memo is one row per node, row g a dict
-  mapping h to whether g <= h, appended when ``intern`` creates g.  The
-  one order recursion, ``_scan``, is the memo's only writer: it probes an
-  option's row before recursing into it and stores the answers it finds
-  there.  ``leq`` and ``compare`` read the pair they were asked and never
-  store it, so the memo keeps only option pairs, the ones a recursion
-  reads again,
+* ``leq`` and ``compare`` drive the partial order and with it outcomes,
+  domination and reversibility checks, through one order recursion,
+  ``_scan``,
 * ``canonical`` rewrites a node into the unique simplest equal-valued form
-  bottom-up.  A node whose canonical options are numbers or number pairs
-  {p|q} (p >= q) is read from them by the simplicity theorem: it is the
-  simplest number x above every Left number and below every Right one,
-  with x >= q for a Left pair and x <= p for a Right pair
-  (``dy_simplest``), if one fits.  With numbers only and none fitting,
-  it is the switch of Left's largest and Right's smallest.  Every other
-  node has its dominated options removed and its reversible ones
-  bypassed,
+  bottom-up,
 * ``number_position`` builds number trees on an explicit stack, memoized
   by the normalized pair,
 * ``stop`` and ``guides`` read one recursion for either player in either
@@ -119,7 +103,7 @@ class GameStore:
     def __init__(self):
         self._nodes = []
         self._index = {}
-        self._leq = []
+        self._leq = []  # per node g: a dict h -> whether g <= h
         self._canonical = {}
         self._birthday = []  # per node: 1 + the largest option birthday, or 0
         self._number = []  # per node: the pair its shape spells, or None
@@ -133,8 +117,7 @@ class GameStore:
     def stats(self):
         """Node count, alias count and the entry count of each memo table.
 
-        ``aliases`` counts the given option lists that ``intern`` keeps
-        beside the nodes' normal keys.
+        ``aliases`` counts the alias keys of ``intern``'s index.
         """
         return {
             "nodes": len(self._nodes),
@@ -218,18 +201,22 @@ class GameStore:
         return self._nodes[g]
 
     def leq(self, g, h):
-        """Whether g <= h: read from row g, or scanned without storing it."""
+        """Whether g <= h."""
         got = self._leq[g].get(h)
         if got is None:
             return self._scan(g, h)
         return got
 
     def _scan(self, g, h):
-        # the order rule for a pair missing from its row: g <= h fails
-        # exactly when some gL >= h or some hR <= g.  Each option's answer
-        # is read from its row first and stored there on a miss, so the
-        # recursion only runs for pairs never computed.  Those option pairs
-        # are all the memo ever holds: (g, h) itself is not stored
+        # the one order recursion and the order memo's only writer: g <= h
+        # fails exactly when some gL >= h or some hR <= g.  Each option's
+        # answer is read from its row first and stored there on a miss, so
+        # the recursion only runs for pairs never computed.  Those option
+        # pairs, which a recursion reads again, are all the memo ever
+        # holds: the pair asked of ``leq`` or ``compare`` is scanned without
+        # storing it, which keeps an all-pairs workload from filling the
+        # memo with pairs never read again, while asking again costs one
+        # row read per option
         rows = self._leq
         nodes = self._nodes
         hrow = rows[h]
@@ -248,14 +235,8 @@ class GameStore:
         return True
 
     def compare(self, g, h):
-        """The relation of g to h: less, greater, equal or fuzzy.
-
-        Both questions are read as in ``leq``: from the rows first, and a
-        pair missing from them is scanned without storing its own answer,
-        which keeps an all-pairs workload from filling the memo with pairs
-        never read again.  Asking again costs one row read per option,
-        because the pairs the recursion met are stored.
-        """
+        """The relation of g to h: less, greater, equal or fuzzy, each
+        direction read as in ``leq``."""
         rows = self._leq
         a = rows[g].get(h)
         if a is None:
@@ -325,17 +306,10 @@ class GameStore:
     def canonical(self, g):
         """The unique simplest position equal to g.
 
-        Canonicalizes the options first.  When each is a number tree or a
-        pair {p|q} of them, the answer is read from their values: the
-        simplest number x with x > n for each Left number n, x >= q for
-        each Left pair, x <= p for each Right pair and x < n for each
-        Right number n, a missing side leaving that bound open.  With
-        number options only and no x fitting, it is the switch of Left's
-        largest and Right's smallest; g and the answer are memoized.
-
-        Otherwise, or when a pair is among the options and no x fits, it
-        removes dominated options, bypasses reversible ones
-        and, if the bypass changed the form, removes dominated options
+        Canonicalizes the options first and asks ``_canonical_of_numbers``
+        for a form read off their values; g and that answer are memoized.
+        Failing that, it removes dominated options, bypasses reversible
+        ones and, if the bypass changed the form, removes dominated options
         once more.  That is enough: one removal pass drops every dominated
         option, and a removal changes neither the value nor any remaining
         option, so it makes none reversible.  Every intermediate form has

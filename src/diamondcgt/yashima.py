@@ -9,61 +9,36 @@ label).  Under normal play the player without a move loses.
 
 The public types (``MultiGraph``, ``YashimaState``, ``Move``) validate
 their arguments and are the boundary for outside input, together with
-``graphio``.  Inside, the solver and the sweep work on a packed state: one
-int, ``mask << 2S | left_token << S | right_token``.  A numbering gives
-each edge copy one bit of ``mask``, the copies of one vertex pair on
-consecutive bits, and ``S`` is wide enough for the highest edge endpoint
-and both tokens.  It holds no vertex count, so boards that differ only in
-trailing isolated vertices share one state.  One private function,
-``_successors``, turns a packed state into its followers with a few bit
-operations, without building or re-validating any public object.  It is
-the single slide rule, and its only switch is the variant's deletion: the
-edge-removal slide clears the highest present copy of the slid pair, the
-vertex-removal slide every copy at the departed vertex.  One decoder,
-``_moves``, lists a token's slides from it as ``(destination, mask
-after)``; the move descriptors, legality, applying a move and
-``commuting_violation`` read those, the sweep reads its slide rows off
-``_successors`` itself, and nothing else decides where a token may slide
-or which edges a slide deletes.  The solver numbers each root's edge
-tuple (copy i is bit i) and memoizes game ids per ``(variant, edge
-tuple, S)``, so roots on other edges redo the walk while the engine's
-hash-consing still gives them the same game ids.
-``YashimaSolver.solve_stats`` reads the game id, the tree size and the
-reachable count off one post-order walk.
+``graphio``.  Behind them the solver (``YashimaSolver``) and the
+exhaustive small-board verifier (``verify_bipartite_simplicity``) rest on
+three invariants.
 
-The module also houses the exhaustive small-board verifier: on bipartite
-boards every position's value is an integer or a two-integer pair, tokens
-on different color classes force an integer, and in the different-color
-case any Left move and any Right move commute to the same state.  The
-sweep needs no solver walk and interns boards, not states.  It numbers its
-whole universe once, ``max_edges`` bits for each vertex pair, so a board
-is its mask, and it builds each bipartite board from one with a copy
-fewer, carrying the mask and the board's labels along: one int per
-vertex, ``2 * component + color``, which ``_join`` updates for the new
-copy, or None once the copy closes an odd cycle.  ``color_class`` folds
-the same ``_join`` over a board's edges, so there is one color rule, and
-two tokens are different-color when their labels differ.  The first time
-it meets a mask it gives it a board id and one slide row per vertex, the
-tuple of ``(destination, board id after the slide)`` pairs read once off
-the Left successors of the parked state: the vertex's token on the
-board, the other token on a vertex no edge touches, each mask after
-mapped straight to its board id.  The rows of all boards sit in one flat
-list at ``board * span + vertex``, and every empty row is the shared
-``()``.  Game ids are kept in one list per board, by token pair.  Every
-move deletes at least one edge copy, so a state's successors are
-placements with fewer edge copies on a subgraph, and the sweep order
-(vertex count, then edge count) has visited them already; each state is
-interned from two lists of successor ids, read from its rows by list
-index, with no edge tuple built or hashed, and the engine answers most of
-them from the lists as given.  The value laws are decided once per
-distinct game id, and every state is then checked against its game's
-verdict.  One commuting check over ``(destination, board)`` slides
-serves the sweep, which passes it a state's two slide rows only for
-different-color states where both players move, and
-``commuting_violation``, which passes masks of the state's own
-numbering; the check itself skips slides onto the opponent.  It reads
-each two-slide board from ``dict()`` of a row, the token's slides on the
-board after the first slide, keyed by destination.
+The packed state.  Inside, a state is one int, ``mask << 2S | left_token
+<< S | right_token``.  A numbering gives each edge copy one bit of
+``mask``, the copies of one vertex pair on consecutive bits (the pair's
+block), and a pair's present copies always fill its block from the
+lowest bit, so equal masks are equal edge multisets.  ``S`` is wide
+enough for the highest edge endpoint and both tokens, and leaves the
+vertex 2**S - 1 free of edges and tokens: it parks a token that must
+block nothing.  The state holds no vertex count, so boards that differ
+only in trailing isolated vertices share one state.
+
+The single slide rule.  ``_successors`` alone decides where a token may
+slide and which edges a slide deletes, with a few bit operations and no
+public object built; everything else reads its slides from it, directly
+or through ``_moves``.  A token slides along any present pair at its
+vertex unless the pair ends on the other token, and parallel copies lead
+to one successor.  The variant's deletion is the only switch: the
+edge-removal slide clears the highest present copy of the slid pair, the
+vertex-removal slide every copy at the departed vertex.
+
+The sweep order.  A slide deletes at least the edge copy it traverses,
+so the state graph has no cycles, and a successor lies on a subgraph
+(bipartite when the board is) with fewer edge copies.  Its placement is
+swept on max(endpoint, token) + 1 vertices, at most the state's own
+count, with fewer edges.  The sweep visits boards by vertex count, then
+by edge count, so every successor's game id is known before its state
+is interned, and the sweep needs no solver walk.
 """
 
 from __future__ import annotations
@@ -168,11 +143,6 @@ class Move:
 
 
 # --- the packed state ----------------------------------------------------
-#
-# A pair's present copies always fill its block of consecutive bits from
-# the lowest, so equal masks are equal edge multisets.  S also leaves the
-# vertex 2**S - 1 free of edges and tokens: it parks a token that must
-# block nothing.
 
 
 class _Rule(NamedTuple):
@@ -201,14 +171,8 @@ def _rule(variant: Variant, blocks: dict, shift: int) -> _Rule:
 
 
 def _successors(state: int, rule: _Rule) -> list:
-    """Left and right successors of a packed state, each in pair order.
-
-    A token slides along any present pair at its vertex unless the pair
-    ends on the other token; parallel copies lead to one successor.  The
-    variant's deletion is the only switch: the edge-removal slide clears
-    the highest present copy of its pair, the vertex-removal slide every
-    copy at the departed vertex.
-    """
+    """Left and right successors of a packed state, each in pair order,
+    by the single slide rule."""
     shift, adjacent, incident, tron = rule
     low = (1 << shift) - 1
     lt = state >> shift & low
@@ -442,12 +406,12 @@ class YashimaSolver:
         ``[lefts, rights]`` list that ``_successors`` returns, with the
         state appended, is pushed as the state's marker, then every
         successor, and popping the marker finishes the state from it.
-        That is safe because every slide deletes an edge copy, so the
-        state graph has no cycles: no state's successors include a state
-        whose marker is still on the stack, so each state is expanded once
-        and the markers on the stack are the open path.  ``opened`` counts
-        them; expanding a state when ``STATE_BUDGET`` states are already
-        done or open raises ``BoundsTooLargeError``.
+        That is safe because the state graph has no cycles: no state's
+        successors include a state whose marker is still on the stack, so
+        each state is expanded once and the markers on the stack are the
+        open path.  ``opened`` counts them; expanding a state when
+        ``STATE_BUDGET`` states are already done or open raises
+        ``BoundsTooLargeError``.
         """
         intern = self.engine.intern
         budget = STATE_BUDGET
@@ -598,19 +562,14 @@ def verify_bipartite_simplicity(
     move pairs commute.  Successor states show up in the sweep as their own
     roots, so the laws are effectively checked on every follower too.
 
-    The sweep visits boards by vertex count, then by edge count, and a
-    successor always has fewer edge copies, so each state is interned from
-    the ids its successors got earlier in the same sweep, with no walk.
-    Those ids are read by list index from the slide rows, one tuple per
-    board and vertex in one flat list, and from per-board game lists; the
-    report counts the board ids given and the distinct games.
-    The value laws are decided once per game id and every state is checked
-    against that verdict: states sharing a game each count, and each one
-    that fails is reported with its own state.  The sweep stops once it
-    holds max_counterexamples of them and reports exactly that many.
-    Negative bounds and a max_counterexamples below 1 raise
-    ``PreconditionError``.  A sweep of more than state_budget states, or
-    whose board masks take more than state_budget 64-bit words in all,
+    Every swept state is interned; the report counts the distinct boards
+    and the distinct games.  The value laws are decided once per game id,
+    and every state is checked against that verdict: states sharing a game
+    each count, and each one that fails is reported with its own state.
+    The sweep stops once it holds max_counterexamples of them and reports
+    exactly that many.  Negative bounds and a max_counterexamples below 1
+    raise ``PreconditionError``.  A sweep of more than state_budget states,
+    or whose board masks take more than state_budget 64-bit words in all,
     raises ``BoundsTooLargeError`` before it starts.
     """
     if max_vertices < 0 or max_edges < 0:
@@ -628,10 +587,9 @@ def verify_bipartite_simplicity(
     intern = engine.intern
     zsys = NumberSystem.Z
     # One numbering serves the whole sweep: each pair of the span vertices
-    # gets max_edges bits, which a board's copies fill from the lowest, so
-    # a board is its mask.  S = span.bit_length() leaves the parking vertex
-    # 2**S - 1 free of edges.  The slide rule treats both tokens alike: one
-    # row per vertex serves both.
+    # gets max_edges bits, so a board is its mask, and S is
+    # span.bit_length().  The slide rule treats both tokens alike: one row
+    # per vertex serves both.
     span = max(max_vertices, 1)
     blocks = {
         pair: ((1 << max_edges) - 1) << (k * max_edges)
@@ -646,16 +604,15 @@ def verify_bipartite_simplicity(
     boards: dict = {}
     # the slide rows of every board in one flat list: at board * span +
     # vertex, the tuple of that vertex's (destination, board id after)
-    # slides on the board.  A tuple has no spare slots, the collector
+    # slides on the board.  They are read once, when the board gets its
+    # id, off the Left successors of the parked state: the vertex's token
+    # on the board, the other token on 2**S - 1, each mask after mapped
+    # straight to its board id.  A tuple has no spare slots, the collector
     # stops tracking tuples of ints, and every empty row is the shared ().
     rows: list = []
     # board id -> one list of the game ids of its swept placements, at
-    # lt * span + rt.  A slide deletes at least the edge copy it traverses,
-    # so a successor lies on a subgraph (bipartite too) with fewer edge
-    # copies.  Its placement is swept on max(endpoint, token) + 1
-    # vertices, at most n, with fewer edges, and the loops below reach it
-    # before the state itself: every successor's id is here by the time a
-    # state is interned.
+    # lt * span + rt.  By the sweep order, every successor's id is here by
+    # the time a state is interned.
     games: list = []
     # game id -> (value, value in the integer pair set, value an integer)
     verdicts: dict = {}
@@ -742,6 +699,7 @@ def verify_bipartite_simplicity(
                     rrow = rows[base + rt]
                     left_ids = [games[b][d * span + rt] for d, b in lrow if d != rt]
                     right_ids = [games[b][lt * span + d] for d, b in rrow if d != lt]
+                    # intern finds most states from these lists as given
                     game = placed[lt * span + rt] = intern(left_ids, right_ids)
                     verdict = verdicts.get(game)
                     if verdict is None:
