@@ -18,12 +18,17 @@ Everything else expensive is memoized against the owning store:
   bottom-up,
 * ``number_position`` builds number trees on an explicit stack, memoized
   by the normalized pair,
-* ``stop`` and ``guides`` read one recursion for either player in either
-  the integer or the dyadic number system: the optimal stop and the
-  player's options that realize it, found in one pass over the options.
+* ``stop_guides`` is one recursion for either player in either the
+  integer or the dyadic number system: the optimal stop and the player's
+  options that realize it, found in one pass over the options.
 
-Each rule is written once for both players and takes a ``side``, 0 for
-Left and 1 for Right: Right's rule is Left's with the order reversed.
+The rules that take a ``side``, 0 for Left and 1 for Right, are written
+once for both players: ``stop_guides``, ``_dominated`` and
+``_reversible``, where Right's rule is Left's with the order reversed.
+Three are written out per side: ``_canonical_of_numbers``' option loops,
+``number_position``'s neighbour blocks and ``dy_simplest``'s integer
+branches.  The mirrored loops stay because one helper for both bounds
+cost the ladder solve 3-4%.
 
 Dyadic rationals are plain ``(numerator, exponent)`` int pairs meaning
 ``numerator / 2**exponent``, normalized so the exponent is zero or the
@@ -423,52 +428,37 @@ class GameStore:
             return None
         return v
 
-    def stop(self, g, side, integer_system):
-        """Best number the player can steer toward, within the given system.
+    def stop_guides(self, g, side, integer_system):
+        """(stop, guides): the best number the player can steer toward in
+        the system, and the player's options that realize it.
 
-        A member of the system is its own stop; otherwise the best opponent
-        stop among the player's options, the largest for Left.  A non-member
-        has options on both sides: by the simplicity theorem {|R} is the
-        simplest number x with x <| every R, and those x include every small
-        enough integer and each number below one of them, so it is an
-        integer, a member of both systems; {L|} mirrors it.
+        A member of the system is its own stop with no guides, and nothing
+        is stored for it.  A non-member's stop is the best opponent stop
+        among the player's options, the largest for Left; its guides are
+        the options that are members worth it, failing that those whose
+        opponent stop is it.  A non-member has options on both sides: by
+        the simplicity theorem {|R} is the simplest x with x <| every R,
+        and those x include every small enough integer and each number
+        below one of them, so it is an integer, a member of both systems;
+        {L|} mirrors it.  So an option is a member exactly when its guides
+        are empty.  Pairs are normalized, so tuple equality is exact.
         """
-        v = self.member(g, integer_system)
-        if v is not None:
-            return v
-        return self._stop_guides(g, side, integer_system)[0]
-
-    def guides(self, g, side, integer_system):
-        """The player's options that realize the stop, within the system.
-
-        A member of the system has none.  Otherwise they are the options
-        that are members worth the stop, failing that the options whose
-        opponent stop is the stop.  Pairs are normalized, so tuple
-        equality is exact.
-        """
-        if self.member(g, integer_system) is not None:
-            return ()
-        return self._stop_guides(g, side, integer_system)[1]
-
-    def _stop_guides(self, g, side, integer_system):
-        # (stop, guides) of a non-member, which has options on both sides
-        # (see ``stop``), from one pass over the player's options: those
-        # reaching the best opponent stop so far, in order, and the members
-        # among them; a member's opponent stop is its value
         key = (g, integer_system)
         memo = self._stops[side]
         got = memo.get(key)
         if got is not None:
             return got
+        v = self.member(g, integer_system)
+        if v is not None:
+            return v, ()
         best = None
         for x in self._nodes[g][side]:
-            v = self.member(x, integer_system)
-            s = v if v is not None else self._stop_guides(x, 1 - side, integer_system)[0]
+            s, guides = self.stop_guides(x, 1 - side, integer_system)
             if best is None or (dy_lt(best, s) if side == 0 else dy_lt(s, best)):
                 best, reach, worth = s, [], []
             if s == best:
                 reach.append(x)
-                if v is not None:
+                if not guides:
                     worth.append(x)
         got = memo[key] = (best, tuple(worth or reach))
         return got

@@ -82,8 +82,8 @@ class GuideOptions:
     side holds the Left options whose value equals the position's left
     stop when such options exist, else every Left option whose right stop
     equals it; the Right side dually.  Both tuples are read from the
-    kernel's stop memo (``GameStore.guides``), filled in the same pass
-    as the stop, once per position, side and system.
+    kernel's stop memo (``GameStore.stop_guides``), filled in the same
+    pass as the stop, once per position, side and system.
     """
 
     left: tuple[int, ...]
@@ -96,8 +96,8 @@ def guide_options(engine: Engine, g: int, system: NumberSystem) -> GuideOptions:
     store = engine.store
     integer_system = system.integers_only
     return GuideOptions(
-        store.guides(g, 0, integer_system),
-        store.guides(g, 1, integer_system),
+        store.stop_guides(g, 0, integer_system)[1],
+        store.stop_guides(g, 1, integer_system)[1],
         system,
     )
 
@@ -137,23 +137,23 @@ def has_diamond(engine: Engine, g: int, system: NumberSystem) -> PropertyReport:
 def has_property(engine: Engine, g: int, p: PropertyName) -> PropertyReport:
     """Whether ``g`` has property ``p``, with a witness when it does.
 
-    A member of the property's system holds outright; otherwise the first
-    guide pair with a witness makes it hold.  A member's report is built
-    once per value and tag and kept in ``engine.member_reports``; a
-    report with a guide pair, and a failure, is built per call.
+    A member of the property's system, the one kind of position with no
+    guides, holds outright; otherwise the first guide pair with a witness
+    makes it hold.  A member's report is built once per value and tag and
+    kept in ``engine.member_reports``; a report with a guide pair, and a
+    failure, is built per call.
     """
     integer_system = _RULES[p][0].integers_only
     store = engine.store
-    pair = store.member(g, integer_system)
-    if pair is not None:
+    pair, left = store.stop_guides(g, 0, integer_system)
+    if not left:
         key = (pair, p)
         report = engine.member_reports.get(key)
         if report is None:
             witness = Witness(member_value=engine.dyadic(pair))
             report = engine.member_reports[key] = PropertyReport(True, p, witness)
         return report
-    left = store.guides(g, 0, integer_system)
-    right = store.guides(g, 1, integer_system)
+    right = store.stop_guides(g, 1, integer_system)[1]
     for gl in left:
         for gr in right:
             witness = _pair_witness(engine, p, gl, gr)

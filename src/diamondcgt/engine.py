@@ -134,10 +134,10 @@ class Engine:
     # -- stops --------------------------------------------------------------
 
     def left_stop(self, g: int, system: NumberSystem) -> Dyadic:
-        return self.dyadic(self.store.stop(g, 0, system.integers_only))
+        return self.dyadic(self.store.stop_guides(g, 0, system.integers_only)[0])
 
     def right_stop(self, g: int, system: NumberSystem) -> Dyadic:
-        return self.dyadic(self.store.stop(g, 1, system.integers_only))
+        return self.dyadic(self.store.stop_guides(g, 1, system.integers_only)[0])
 
     # -- simplest number between bounds ------------------------------------
 

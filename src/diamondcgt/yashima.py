@@ -292,18 +292,7 @@ def _join(code: tuple, u: int, v: int) -> tuple | None:
     return tuple(c ^ flip if c >> 1 == joined else c for c in code)
 
 
-def _bipartition(vertex_count: int, edges) -> tuple | None:
-    """Per-vertex labels of the board, or None when it is not bipartite:
-    the fold of ``_join`` over the edges, from every vertex on its own."""
-    code = tuple(range(0, 2 * vertex_count, 2))
-    for u, v in edges:
-        code = _join(code, u, v)
-        if code is None:
-            return None
-    return code
-
-
-def _different_color(code: tuple, lt: int, rt: int) -> bool:
+def _different_color(code: tuple | dict, lt: int, rt: int) -> bool:
     """Whether the tokens' vertices are in different components or have
     opposite colors: whether their labels differ."""
     return code[lt] != code[rt]
@@ -313,17 +302,33 @@ def color_class(state: YashimaState) -> ColorClass:
     """Token coloring: different components or opposite classes both count
     as different-color; any odd cycle anywhere makes the board unusable.
 
-    Only the vertices that edges touch are labelled, renumbered 0..k-1 in
-    ascending order: any other vertex is isolated, so a token there has a
+    Only the vertices that edges touch are labelled, with ``_join``'s
+    labels, in one walk per component, named by the vertex the walk
+    starts at.  Any other vertex is isolated, so a token there has a
     component of its own.
     """
-    edges = state.graph.edges
-    rank = {v: i for i, v in enumerate(sorted({v for edge in edges for v in edge}))}
-    code = _bipartition(len(rank), [(rank[u], rank[v]) for u, v in edges])
-    if code is None:
-        return ColorClass.NOT_BIPARTITE
-    lt, rt = rank.get(state.left_token), rank.get(state.right_token)
-    if lt is None or rt is None or _different_color(code, lt, rt):
+    adjacent = defaultdict(list)
+    for u, v in state.graph.edges:
+        adjacent[u].append(v)
+        adjacent[v].append(u)
+    code: dict = {}
+    for root in adjacent:
+        if root in code:
+            continue
+        code[root] = 2 * root
+        stack = [root]
+        while stack:
+            u = stack.pop()
+            flipped = code[u] ^ 1
+            for v in adjacent[u]:
+                got = code.get(v)
+                if got is None:
+                    code[v] = flipped
+                    stack.append(v)
+                elif got != flipped:
+                    return ColorClass.NOT_BIPARTITE
+    lt, rt = state.left_token, state.right_token
+    if lt not in code or rt not in code or _different_color(code, lt, rt):
         return ColorClass.DIFFERENT_COLOR
     return ColorClass.SAME_COLOR
 
@@ -656,7 +661,7 @@ def verify_bipartite_simplicity(
         # block.  The labels are joined along (None for an odd cycle), and
         # an odd cycle stays in every supergraph, so only bipartite boards
         # are kept for the next copy.
-        kept = [((), 0, 0, 0, _bipartition(n, ()))]
+        kept = [((), 0, 0, 0, tuple(range(0, 2 * n, 2)))]
         for m in range(0, max_edges + 1):
             level = kept
             if m:

@@ -34,6 +34,29 @@ def test_integer_stops_are_integers(engine, day3_values, random_day4_forms):
         assert engine.right_stop(g, Z).is_integer
 
 
+def test_stop_guides_are_empty_exactly_for_members(engine, day3_values, random_day4_forms):
+    # the recursion reads an option's membership off its empty guides, so
+    # a member must get (its value, ()) and a non-member some of its own
+    # options; a member's answer is not stored
+    store = engine.store
+    asks = [
+        (g, side, integer_system, store.member(g, integer_system))
+        for g in list(day3_values) + list(random_day4_forms)
+        for integer_system in (True, False)
+        for side in (0, 1)
+    ]
+    members = [ask for ask in asks if ask[3] is not None]
+    assert 0 < len(members) < len(asks)
+    before = store.stats()
+    for g, side, integer_system, v in members:
+        assert store.stop_guides(g, side, integer_system) == (v, ())
+    assert store.stats() == before
+    for g, side, integer_system, v in asks:
+        if v is None:
+            guides = store.stop_guides(g, side, integer_system)[1]
+            assert guides and set(guides) <= set(store.node(g)[side])
+
+
 def test_stops_of_numbers_are_the_number(engine):
     for n in range(-5, 6):
         pos = engine.number_position(n)

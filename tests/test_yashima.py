@@ -144,6 +144,21 @@ def test_color_class_labels_only_the_touched_vertices(capped_python):
     ]
 
 
+def test_color_class_is_linear_on_a_long_path(capped_python):
+    # a 100,000-vertex path: labels rebuilt per edge would take minutes,
+    # past the child's 60 s timeout
+    code = (
+        "from diamondcgt.yashima import MultiGraph, YashimaState, color_class\n"
+        "n = 100_000\n"
+        "path = MultiGraph(n, tuple((v, v + 1) for v in range(n - 1)))\n"
+        "print(color_class(YashimaState(path, 0, n - 1)).value)\n"
+        "print(color_class(YashimaState(path, 0, n - 2)).value)\n"
+    )
+    done = capped_python(code)
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout.split() == ["different-color", "same-color"]
+
+
 def test_color_class_agrees_with_every_proper_coloring():
     # the referee colors by brute force: a board is bipartite when some 0/1
     # coloring gives the ends of every edge two colors, and two tokens are
@@ -651,6 +666,16 @@ def test_different_color_values_are_integers(engine):
         assert engine.as_number(game, NumberSystem.Z) is not None, state
 
 
+# the integer refinements that the closed-set theorem certifies along the
+# paper's route
+ROUTE_PROPERTIES = (
+    PropertyName.DIAMOND,
+    PropertyName.DIAMOND_LEQ,
+    PropertyName.DIAMOND_L_LFUZ,
+    PropertyName.DIAMOND_R_LFUZ,
+)
+
+
 @pytest.mark.parametrize(
     "variant, certified, plain",
     [(Variant.YASHIMA, 101, 40), (Variant.TRON, 7, 4)],
@@ -678,12 +703,7 @@ def test_small_boards_follow_the_papers_proof_route(variant, certified, plain):
     assert placements == 4560
     part = ClosedSetPartition.split(different, same - different)
     assert (len(part.certified), len(part.plain)) == (certified, plain)
-    for p in (
-        PropertyName.DIAMOND,
-        PropertyName.DIAMOND_LEQ,
-        PropertyName.DIAMOND_L_LFUZ,
-        PropertyName.DIAMOND_R_LFUZ,
-    ):
+    for p in ROUTE_PROPERTIES:
         report = verify_closed_set(engine, part, p)
         assert report.ok, (p, report)
 
@@ -692,15 +712,26 @@ GRID_3X3 = tuple((v, v + 1) for v in range(9) if v % 3 < 2) + tuple((v, v + 3) f
 K_3_4 = tuple((u, v) for u in range(3) for v in range(3, 7))
 
 
+# certified / plain game ids of the proof route, per board and variant
+ROUTE_COUNTS = {
+    (9, Variant.YASHIMA): (749, 434),
+    (9, Variant.TRON): (112, 85),
+    (7, Variant.YASHIMA): (263, 136),
+    (7, Variant.TRON): (9, 7),
+}
+
+
 @pytest.mark.parametrize("variant", [Variant.YASHIMA, Variant.TRON])
 @pytest.mark.parametrize("vertices, edges", [(9, GRID_3X3), (7, K_3_4)], ids=["grid3x3", "K3,4"])
 def test_the_papers_theorem_past_the_sweeps_reach(variant, vertices, edges):
     """Every placement on the 3x3 grid and on K3,4, boards denser than
     the sweep's 5 vertices and 6 edges, and every state its play reaches:
-    each value is in the integer pair set, and each different-color
-    state's value is an integer.  A reached state is colored on its own
-    remaining edges, read from its mask in the solver's memo, so tokens
-    in different components count as different-color."""
+    each value is in the integer pair set, each different-color state's
+    value is an integer, and the paper's proof route holds, as in
+    ``test_small_boards_follow_the_papers_proof_route``.  A reached state
+    is colored by ``color_class`` on its own remaining edges, read from
+    its mask in the solver's memo, so tokens in different components
+    count as different-color."""
     engine = Engine()
     solver = YashimaSolver(engine)
     graph = MultiGraph(vertices, edges)
@@ -711,13 +742,21 @@ def test_the_papers_theorem_past_the_sweeps_reach(variant, vertices, edges):
     (rule, memo), _ = solver._numbered(YashimaState(graph, 0, 1, variant))
     shift = rule.shift
     low = (1 << shift) - 1
-    different = 0
+    different, same = set(), set()
     for state, game in memo.items():
         mask = state >> 2 * shift
         present = [edge for i, edge in enumerate(graph.edges) if mask >> i & 1]
-        code = yashima._bipartition(vertices, present)
+        reached = YashimaState(
+            MultiGraph(vertices, present), state >> shift & low, state & low, variant
+        )
         assert engine.classify_value(game).in_pair_set(NumberSystem.Z), state
-        if yashima._different_color(code, state >> shift & low, state & low):
-            different += 1
+        if color_class(reached) is ColorClass.DIFFERENT_COLOR:
+            different.add(game)
             assert engine.as_number(game, NumberSystem.Z) is not None, state
-    assert 0 < different < len(memo)
+        else:
+            same.add(game)
+    part = ClosedSetPartition.split(different, same - different)
+    assert (len(part.certified), len(part.plain)) == ROUTE_COUNTS[vertices, variant]
+    for p in ROUTE_PROPERTIES:
+        report = verify_closed_set(engine, part, p)
+        assert report.ok, (p, report)
