@@ -38,7 +38,8 @@ so the state graph has no cycles, and a successor lies on a subgraph
 swept on max(endpoint, token) + 1 vertices, at most the state's own
 count, with fewer edges.  The sweep visits boards by vertex count, then
 by edge count, so every successor's game id is known before its state
-is interned, and the sweep needs no solver walk.
+is interned, and the sweep needs no solver walk.  A board with max_edges
+copies at the last vertex count is nobody's successor.
 """
 
 from __future__ import annotations
@@ -607,17 +608,18 @@ def verify_bipartite_simplicity(
     low = (1 << shift) - 1
     # board mask -> board id, given the first time the sweep meets it
     boards: dict = {}
-    # the slide rows of every board in one flat list: at board * span +
-    # vertex, the tuple of that vertex's (destination, board id after)
-    # slides on the board.  They are read once, when the board gets its
-    # id, off the Left successors of the parked state: the vertex's token
-    # on the board, the other token on 2**S - 1, each mask after mapped
-    # straight to its board id.  A tuple has no spare slots, the collector
-    # stops tracking tuples of ints, and every empty row is the shared ().
+    # the slide rows of every stored board in one flat list: at board *
+    # span + vertex, the tuple of that vertex's (destination, board id
+    # after) slides on the board.  They are read once, when the board gets
+    # its id, off the Left successors of the parked state: the vertex's
+    # token on the board, the other token on 2**S - 1, each mask after
+    # mapped straight to its board id.  A tuple has no spare slots, the
+    # collector stops tracking tuples of ints, and every empty row is ().
     rows: list = []
     # board id -> one list of the game ids of its swept placements, at
     # lt * span + rt.  By the sweep order, every successor's id is here by
-    # the time a state is interned.
+    # the time a state is interned.  A board first met at the last level,
+    # max_edges copies on max_vertices vertices, is stored in neither table.
     games: list = []
     # game id -> (value, value in the integer pair set, value an integer)
     verdicts: dict = {}
@@ -688,20 +690,24 @@ def verify_bipartite_simplicity(
                 if board is None:
                     board = boards[mask] = len(games)
                     # tuple([...]) builds faster than tuple() of a generator
-                    rows += [
+                    here = [
                         tuple([
                             (s >> shift & low, boards[s >> double])
                             for s in _successors((mask << shift | x) << shift | low, rule)[0]
                         ])
                         for x in range(span)
                     ]
-                    games.append([None] * (span * span))
-                base = board * span
-                placed = games[board]
+                    placed = [None] * (span * span)
+                    if n < max_vertices or m < max_edges:
+                        rows += here
+                        games.append(placed)
+                else:
+                    here = rows[board * span:(board + 1) * span]
+                    placed = games[board]
                 for lt, rt in every if top == last else touching:
                     states_checked += 1
-                    lrow = rows[base + lt]
-                    rrow = rows[base + rt]
+                    lrow = here[lt]
+                    rrow = here[rt]
                     left_ids = [games[b][d * span + rt] for d, b in lrow if d != rt]
                     right_ids = [games[b][lt * span + d] for d, b in rrow if d != lt]
                     # intern finds most states from these lists as given

@@ -581,11 +581,12 @@ def test_sweep_bounds_of_zero_and_one(engine):
 
 @pytest.mark.parametrize("variant", [Variant.YASHIMA, Variant.TRON])
 def test_sweep_tables_stay_small(variant):
-    # The slide rows are the sweep's largest tables: 2,508 rows on the 627
-    # boards of 4 vertices and 6 edges.  Kept as tuples in one flat list,
-    # the traced peak reads 0.67 MiB (Yashima) and 0.32 MiB (TRON).  The
-    # bounds sit about 10% above that, below the 0.80 and 0.52 MiB that
-    # one list of row lists per board takes.
+    # The slide rows are the sweep's largest tables.  Of the 627 boards of
+    # 4 vertices and 6 edges, 253 are first met at the last level and keep
+    # no tables, so 374 boards keep 1,496 rows, as tuples in one flat list.
+    # The traced peak reads 0.493 MiB (Yashima) and 0.173 MiB (TRON).  The
+    # bounds sit about 10% above that, below the 0.67 and 0.32 MiB that
+    # tables kept for every board take.
     engine = Engine()
     tracemalloc.start()
     try:
@@ -594,7 +595,7 @@ def test_sweep_tables_stay_small(variant):
     finally:
         tracemalloc.stop()
     assert report.ok
-    assert peak < {Variant.YASHIMA: 0.74, Variant.TRON: 0.36}[variant] * 2**20
+    assert peak < {Variant.YASHIMA: 0.55, Variant.TRON: 0.20}[variant] * 2**20
 
 
 @pytest.mark.parametrize("variant", [Variant.YASHIMA, Variant.TRON])
